@@ -73,7 +73,7 @@ func run() error {
 	flag.IntVar(&cfg.pipeline, "pipeline", 0, "executor pipeline depth for all OXII runs (1 = per-block barrier, 0 = default)")
 	flag.StringVar(&cfg.scheduler, "scheduler", "", "ready-transaction dispatch scheduler for all OXII runs: "+strings.Join(execution.SchedulerNames, ", "))
 	flag.IntVar(&cfg.prefetch, "prefetch", 0, "read-set prefetch workers per OXII executor (0 = off)")
-	flag.IntVar(&cfg.segTxns, "segtxns", 0, "orderer segment size for all OXII runs (0 = monolithic NEWBLOCK)")
+	flag.IntVar(&cfg.segTxns, "segtxns", 0, "orderer segment size for all OXII runs (0 = one segment per block, sent at the cut)")
 	flag.StringVar(&cfg.fsync, "fsync", "group", "WAL fsync policy for the durability sweep: group, always, or never")
 	flag.BoolVar(&cfg.speculate, "speculate", false, "speculative commit-wait bypass for all OXII runs (adopt first votes, gate multicasts, cascade on mismatch)")
 	flag.StringVar(&cfg.backend, "backend", "", "state backend for all OXII runs: "+strings.Join(persist.StateBackendNames, ", ")+" (empty = memory)")
@@ -247,13 +247,11 @@ func figPipeline(c config) error {
 }
 
 // figScheduler sweeps the ready-transaction dispatch schedulers at
-// moderate contention: FIFO vs critical-path vs load-balanced, pipelined
-// executors with a small prefetch pool. Results are bit-identical across
+// moderate contention: FIFO vs critical-path, pipelined executors with a
+// small prefetch pool. Results are bit-identical across
 // schedulers; the sweep isolates dispatch-order throughput.
 func figScheduler(c config) error {
-	scheds := []execution.SchedulerKind{
-		execution.SchedFIFO, execution.SchedCriticalPath, execution.SchedLoadBalanced,
-	}
+	scheds := []execution.SchedulerKind{execution.SchedFIFO, execution.SchedCriticalPath}
 	series, err := bench.SchedulerSweep(c.base(), 0.2, scheds, c.clientLevels(), os.Stderr)
 	if err != nil {
 		return err
@@ -267,7 +265,7 @@ func figScheduler(c config) error {
 }
 
 // figStream sweeps the orderer segment size at moderate contention:
-// monolithic NEWBLOCK vs segment streaming, the orderer->executor
+// one segment per block vs segment streaming, the orderer->executor
 // streaming experiment.
 func figStream(c config) error {
 	segSizes := []int{0, 16, 64}
@@ -281,7 +279,7 @@ func figStream(c config) error {
 	}
 	rows := make([]namedSeries, 0, len(series))
 	for _, s := range series {
-		name := "monolithic"
+		name := "whole-block"
 		if s.SegmentTxns > 0 {
 			name = fmt.Sprintf("seg=%d", s.SegmentTxns)
 		}

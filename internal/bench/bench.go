@@ -130,7 +130,7 @@ type Options struct {
 	// ExecWorkers sizes OXII executor pools (default 2*BlockTxns).
 	ExecWorkers int
 	// Scheduler selects the OXII executors' ready-transaction dispatch
-	// policy (fifo, critical-path, load-balanced); zero value is FIFO.
+	// policy (fifo, critical-path); zero value is FIFO.
 	Scheduler execution.SchedulerKind
 	// PrefetchWorkers sizes the OXII executors' read-set prefetch pool
 	// (0 disables prefetching).
@@ -141,8 +141,8 @@ type Options struct {
 	PipelineDepth int
 	// SegmentTxns streams OXII blocks from orderers to executors in
 	// signed segments of this many transactions (orderer-side graph
-	// generation and dissemination move off the cut path). 0 keeps the
-	// monolithic NEWBLOCK.
+	// generation and dissemination move off the cut path). 0 sends each
+	// block as one segment at the cut.
 	SegmentTxns int
 	// DataDir enables the durability subsystem for OXII runs: every
 	// executor write-ahead-logs finalized blocks (and snapshots state)

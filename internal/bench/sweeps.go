@@ -186,11 +186,11 @@ type StreamSeries struct {
 	Points      []SweepPoint
 }
 
-// StreamSweep measures OXII as the orderers shift from monolithic
-// NEWBLOCK dissemination (segTxns = 0) to segment streaming at the given
+// StreamSweep measures OXII as the orderers shift from one segment per
+// block sent at the cut (segTxns = 0) to segment streaming at the given
 // segment sizes, at a fixed contention level. Streaming moves dependency
 // graph generation and block dissemination off the cut path, so the sweep
-// exposes how much of the block boundary the monolithic announcement was
+// exposes how much of the block boundary whole-block dissemination was
 // costing end to end.
 func StreamSweep(base Options, contention float64, segSizes []int,
 	clientLevels []int, progress io.Writer) ([]StreamSeries, error) {
@@ -207,7 +207,7 @@ func StreamSweep(base Options, contention float64, segSizes []int,
 		series = append(series, StreamSeries{SegmentTxns: segTxns, Points: points})
 		if progress != nil {
 			peak := Peak(points)
-			label := "monolithic"
+			label := "whole-block"
 			if segTxns > 0 {
 				label = fmt.Sprintf("seg=%d", segTxns)
 			}
@@ -324,9 +324,7 @@ type SchedulerSeries struct {
 // the FIFO baseline at a fixed contention level (pipelined executors, a
 // small prefetch pool). All schedulers commit bit-identical results —
 // the sweep isolates pure dispatch-order throughput: critical-path
-// dispatch drains long dependency chains ahead of independent fillers,
-// load-balanced dispatch keeps conflicting transactions on one worker's
-// queue to cut cross-worker contention.
+// dispatch drains long dependency chains ahead of independent fillers.
 func SchedulerSweep(base Options, contention float64, scheds []execution.SchedulerKind,
 	clientLevels []int, progress io.Writer) ([]SchedulerSeries, error) {
 	series := make([]SchedulerSeries, 0, len(scheds))

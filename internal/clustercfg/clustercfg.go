@@ -42,16 +42,15 @@ type Config struct {
 	// barrier; 0 uses the executor default.
 	PipelineDepth int `json:"pipelineDepth,omitempty"`
 	// SegmentTxns makes orderers stream blocks to executors in signed
-	// segments of this many transactions (plus a closing seal) instead of
-	// one monolithic NEWBLOCK per block. 0 keeps the monolithic wire
-	// format. Every orderer of a cluster must use the same value.
+	// segments of this many transactions (plus a closing seal). 0 sends
+	// each block as one segment at the cut, then the seal. Every orderer
+	// of a cluster must use the same value.
 	SegmentTxns int `json:"segmentTxns,omitempty"`
 	// Scheduler selects each executor's ready-transaction dispatch
-	// policy: "fifo" (default), "critical-path" (longest remaining
-	// dependency chain first), or "load-balanced" (per-worker queues
-	// keyed by first write, with stealing). Schedulers reorder only the
-	// ready set, so committed results are identical under all of them;
-	// nodes of one cluster may even mix policies.
+	// policy: "fifo" (default) or "critical-path" (longest remaining
+	// dependency chain first); any other name fails Load. Schedulers
+	// reorder only the ready set, so committed results are identical
+	// under both; nodes of one cluster may even mix policies.
 	Scheduler string `json:"scheduler,omitempty"`
 	// PrefetchWorkers sizes each executor's read-set prefetch pool:
 	// declared read sets of an admitted block are warmed against the

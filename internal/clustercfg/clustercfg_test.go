@@ -3,6 +3,7 @@ package clustercfg
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"parblockchain/internal/types"
@@ -127,6 +128,24 @@ func TestLoadRejectsBadFsyncPolicy(t *testing.T) {
 }`
 	if _, err := Load(write(t, bad)); err == nil {
 		t.Fatal("bogus fsync policy must be rejected")
+	}
+}
+
+// TestLoadRejectsRemovedScheduler: the load-balanced scheduler was
+// removed, so a config still naming it must fail loudly at Load rather
+// than fall back to FIFO.
+func TestLoadRejectsRemovedScheduler(t *testing.T) {
+	bad := `{
+  "orderers": {"o1": "x"},
+  "executors": {"e1": "y"},
+  "scheduler": "load-balanced"
+}`
+	_, err := Load(write(t, bad))
+	if err == nil {
+		t.Fatal("removed load-balanced scheduler must be rejected")
+	}
+	if !strings.Contains(err.Error(), "load-balanced") {
+		t.Fatalf("error does not name the rejected scheduler: %v", err)
 	}
 }
 

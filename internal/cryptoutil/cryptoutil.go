@@ -1,5 +1,5 @@
 // Package cryptoutil provides the signing infrastructure ParBlockchain
-// nodes use to authenticate REQUEST, NEWBLOCK, and COMMIT messages:
+// nodes use to authenticate REQUEST, SEGMENT, SEAL, and COMMIT messages:
 // ed25519 keypairs, a keyring mapping node identities to public keys, and
 // a no-op signer for benchmarks that isolate protocol cost from
 // cryptography cost.

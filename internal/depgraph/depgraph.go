@@ -16,8 +16,8 @@
 // unordered by the graph may run in parallel.
 //
 // The package is pure: it depends only on the standard library and knows
-// nothing about transactions beyond their read/write sets, so it can be
-// reused for op-level (DGCC-style) or multi-version variants.
+// nothing about transactions beyond their read/write sets, so it serves
+// both the standard and the multi-version conflict rules.
 package depgraph
 
 import (

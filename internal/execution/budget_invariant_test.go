@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/types"
 )
 
@@ -68,19 +67,15 @@ func TestBudgetCreditedAfterStreamedDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, sb := range cutStream(blocks, 16, "o1") {
-		for _, seg := range sb.segs {
-			r.send(t, seg)
-		}
-		r.send(t, sb.seal)
-	}
+	sendBlocks(t, func(m any) error { return r.orderer.Send("e1", m) }, cutStream(blocks, 16, "o1")...)
 	r.awaitBlocks(t, 6)
 	assertBudgetsEmpty(t, r.exec, "after streamed drain")
 }
 
 // TestBudgetCreditedAfterMonolithicDrain is the plain-path control:
-// COMMITs buffered ahead of monolithically announced blocks are
-// credited when the chain passes their height.
+// COMMITs buffered ahead of blocks announced whole (one segment plus the
+// seal, as an orderer with SegmentTxns = 0 sends them) are credited when
+// the chain passes their height.
 func TestBudgetCreditedAfterMonolithicDrain(t *testing.T) {
 	blocks, genesis := tracedBlocks(52, 0.4, 4, 12)
 	r := newStreamRig(t, 4, genesis)
@@ -95,24 +90,9 @@ func TestBudgetCreditedAfterMonolithicDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var prev types.Hash
-	for num, txns := range blocks {
-		block := types.NewBlock(uint64(num), prev, txns)
-		prev = block.Hash()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-			sets[i].Normalize()
-		}
-		r.send(t, &types.NewBlockMsg{
-			Block:   block,
-			Graph:   depgraph.Build(sets, depgraph.Standard),
-			Apps:    block.Apps(),
-			Orderer: "o1",
-		})
-	}
+	sendBlocks(t, func(m any) error { return r.orderer.Send("e1", m) }, cutStream(blocks, 0, "o1")...)
 	r.awaitBlocks(t, 4)
-	assertBudgetsEmpty(t, r.exec, "after monolithic drain")
+	assertBudgetsEmpty(t, r.exec, "after whole-block drain")
 }
 
 // TestBudgetCreditedAfterStateSyncRebase covers the teardown path that

@@ -1,6 +1,6 @@
 // Package execution implements the executor node of the OXII paradigm
-// (Section IV-C): validation of NEWBLOCK messages against an orderer
-// quorum, dependency-graph-driven parallel execution of the node's own
+// (Section IV-C): validation of streamed blocks against an orderer
+// quorum of seals, dependency-graph-driven parallel execution of the node's own
 // applications' transactions (Algorithm 1), lazy multicast of execution
 // results in COMMIT messages when another application needs them
 // (Algorithm 2), and quorum-checked state updates (Algorithm 3).
@@ -31,22 +31,25 @@
 //
 // # Segment streaming
 //
-// With streaming orderers (ordering.Config.SegmentTxns > 0) a block
-// arrives not as one monolithic NEWBLOCK but as a sequence of signed
-// BlockSegmentMsg frames — transactions plus their incremental dependency
-// edges, shipped while consensus is still delivering the rest of the
-// block — closed by a BlockSealMsg carrying the header and a cumulative
-// digest over the segments. The executor admits segments into the
-// pipeline window as they arrive and speculatively executes ready
-// transactions against the in-flight overlay chain; every external or
-// durable effect — multicasting our own COMMIT votes, counting remote
-// ones, finalization, ledger append — waits until OrderQuorum matching
-// seals validate exactly the streamed content. The assembled block and graph are bit-identical to
-// the monolithic path's (depgraph.Appender == depgraph.Build, proven by
-// property test), so ledger and state hash do not depend on how the block
-// traveled. Blocks admitted from segments gate the admission of their
-// successor until their seal validates, which keeps the cross-block
-// stitcher's (block, index) order intact.
+// Every block arrives as a sequence of signed BlockSegmentMsg frames —
+// transactions plus their dependency edges, one segment per block when
+// ordering.Config.SegmentTxns is zero, or several shipped while
+// consensus is still delivering the rest of the block — closed by a
+// BlockSealMsg carrying the header and a cumulative digest over the
+// segments. Nothing is trusted before OrderQuorum matching seals
+// validate exactly the streamed content. With OrderQuorum == 1 (Kafka,
+// Raft) the executor does not wait for the seal to start work: it admits
+// the first orderer's segments into the pipeline window as they arrive
+// and speculatively executes ready transactions against the in-flight
+// overlay chain, while every external or durable effect — multicasting
+// our own COMMIT votes, counting remote ones, finalization, ledger
+// append — waits for the seal. With a larger quorum (PBFT's f+1) a
+// single orderer's stream could equivocate, so the block enters the
+// window only once the seal quorum has picked the content. Ledger and
+// state hash do not depend on how the block was segmented. A block
+// admitted from segments gates the admission of its successor until its
+// seal validates, which keeps the cross-block stitcher's (block, index)
+// order intact.
 //
 // # Speculative commit-wait bypass
 //
@@ -89,8 +92,7 @@
 //
 // # State sync
 //
-// Nothing in the protocol retransmits a missed NEWBLOCK, segment, or
-// seal, so a restarted or partitioned executor used to be stranded: the
+// Nothing in the protocol retransmits a missed segment or seal, so a restarted or partitioned executor used to be stranded: the
 // orderers had moved on, and the node could never admit the next block.
 // With Config.StallTimeout set, a pipeline-progress watchdog detects the
 // stall (no finalize and no admission for the deadline while peers have
@@ -150,9 +152,10 @@ type Config struct {
 	// Tau maps applications to the required number of matching results
 	// tau(A); missing entries default to 1.
 	Tau map[types.AppID]int
-	// OrderQuorum is the number of matching NEWBLOCK messages from
-	// distinct orderers needed to act on a block (f+1 under PBFT). The
-	// same quorum of matching BlockSealMsg validates a streamed block.
+	// OrderQuorum is the number of matching BlockSealMsg from distinct
+	// orderers needed to trust a block's content (f+1 under PBFT). At 1
+	// the executor also runs a block's segments before its seal arrives;
+	// above 1 it waits for the seal quorum before admitting the block.
 	OrderQuorum int
 	// Executors lists all executor nodes: the COMMIT multicast targets.
 	Executors []types.NodeID
@@ -165,11 +168,10 @@ type Config struct {
 	Workers int
 	// Scheduler selects how ready transactions are ordered between
 	// dispatch and the worker pool: SchedFIFO (discovery order, the
-	// default and the paper's behavior), SchedCriticalPath
-	// (longest-dependency-chain first), or SchedLoadBalanced (per-worker
-	// queues keyed by first write key, with stealing). Every scheduler
-	// produces bit-identical ledgers and state; the knob trades only
-	// which ready transaction a free core runs next.
+	// default and the paper's behavior) or SchedCriticalPath
+	// (longest-dependency-chain first). Every scheduler produces
+	// bit-identical ledgers and state; the knob trades only which ready
+	// transaction a free core runs next.
 	Scheduler SchedulerKind
 	// PrefetchWorkers sizes the read-set prefetch pool: admission hands
 	// each segment's declared reads to these workers, which warm the
@@ -185,13 +187,6 @@ type Config struct {
 	// must match the mode the orderers built the per-block graphs with.
 	// Zero means depgraph.Standard.
 	GraphMode depgraph.Mode
-	// PairwiseGraph must mirror the orderers' UsePairwiseGraph setting:
-	// the pairwise builder emits the full conflict relation where the
-	// indexed builder emits a reduced edge set, so the two produce
-	// different NEWBLOCK digests. State sync recomputes a monolithic
-	// record's endorsed digest from the block content, which requires
-	// knowing which builder the endorsing orderers ran.
-	PairwiseGraph bool
 	// MinHorizon is the absolute floor of the future-block buffering
 	// horizon (see beyondHorizon). Zero means DefaultMinHorizon.
 	MinHorizon int
@@ -218,7 +213,7 @@ type Config struct {
 	Speculate bool
 	// Signer signs outbound COMMIT messages.
 	Signer cryptoutil.Signer
-	// Verifier checks NEWBLOCK, SEGMENT, SEAL, and COMMIT signatures.
+	// Verifier checks SEGMENT, SEAL, and COMMIT signatures.
 	Verifier cryptoutil.Verifier
 	// VerifySigs enables signature verification on inbound messages.
 	VerifySigs bool
@@ -272,13 +267,13 @@ func (c Config) withDefaults() Config {
 // PipelineDepth zero.
 const DefaultPipelineDepth = 4
 
-// The buffering horizon: NEWBLOCK, SEGMENT, SEAL, and COMMIT messages
+// The buffering horizon: SEGMENT, SEAL, and COMMIT messages
 // for blocks at or beyond height + max(horizonBlocks*PipelineDepth,
 // Config.MinHorizon) are dropped instead of buffered, so a flood of
 // far-future messages cannot grow the per-block maps without bound. The
 // horizon scales with the pipeline window plus a small absolute floor.
 // The floor used to be 512: nothing in the protocol retransmitted a
-// dropped NEWBLOCK, so the horizon had to swallow every block an honest
+// dropped block announcement, so the horizon had to swallow every block an honest
 // orderer could legitimately cut ahead of a lagging executor — dropping
 // one would have stalled the node forever. Peer-served state sync
 // removed that constraint (a dropped announcement is recovered from any
@@ -565,10 +560,9 @@ type segStream struct {
 }
 
 // blockState tracks one in-flight block through validation, execution,
-// and commitment. A block's content arrives either as one monolithic
-// NEWBLOCK (txns/pred/succ installed wholesale at admission) or as a
-// stream of segments (arrays grow as segments are admitted; msg is
-// synthesized when the seal validates).
+// and commitment. A block's content arrives as a stream of segments: an
+// admitted block's arrays grow as segments are admitted, and block is
+// set when a seal quorum validates the content.
 type blockState struct {
 	num uint64
 
@@ -577,32 +571,26 @@ type blockState struct {
 	// fsync batch path may stamp it off the actor loop.
 	trace *telemetry.BlockTrace
 
-	// Validation: matching NEWBLOCK messages per content digest.
-	ordererVotes map[types.NodeID]types.Hash
-	ordererSigs  map[types.NodeID][]byte
-	digestCount  map[types.Hash]int
-	proposals    map[types.Hash]*types.NewBlockMsg
-	valid        bool
-	msg          *types.NewBlockMsg
-
-	// Quorum evidence, captured when the content digest reaches its
-	// quorum and carried into the durable finalization record: which
-	// orderers endorsed which digest, and whether the endorsement was a
-	// seal (streamed) or a monolithic NEWBLOCK. For streamed blocks the
-	// seal parameters (segment count and cumulative segment digest) ride
-	// along — a state-sync requester can only recompute the endorsed seal
-	// digest if it knows how the block was segmented.
-	evDigest   types.Hash
-	evStreamed bool
-	evidence   []persist.Endorsement
-	sealSegs   int
-	sealCum    types.Hash
+	// Quorum evidence, captured when the seal digest reaches its quorum
+	// and carried into the durable finalization record: which orderers
+	// endorsed the digest, and the seal parameters (segment count and
+	// cumulative segment digest) — a state-sync requester can only
+	// recompute the endorsed seal digest if it knows how the block was
+	// segmented.
+	evDigest types.Hash
+	evidence []persist.Endorsement
+	sealSegs int
+	sealCum  types.Hash
 
 	// contentDone reports the block's full transaction list and graph are
-	// known and trusted (monolithic quorum, or streamed content matching
-	// a seal quorum). Only a contentDone block lets its successor into
-	// the window, which keeps stitcher order intact.
+	// known and trusted (streamed content matching a seal quorum). Only a
+	// contentDone block lets its successor into the window, which keeps
+	// stitcher order intact. block (the sealed header with the block's
+	// transactions) and preds (each transaction's graph predecessors) are
+	// set together with it.
 	contentDone bool
+	block       *types.Block
+	preds       [][]int32
 
 	// Streaming intake: per-orderer segment accumulation and seal votes.
 	streams   map[types.NodeID]*segStream
@@ -696,9 +684,10 @@ type specDep struct {
 }
 
 // growTo reserves capacity for n transactions in every per-transaction
-// array, so an admission that knows the block's full size (monolithic
-// NEWBLOCK, proposal adoption) pays one allocation per array instead of
-// repeated append growth. Streamed admissions grow organically.
+// array, so admitting a segment (for a block sent as one segment, the
+// whole block) pays one allocation per array instead of repeated append
+// growth. The ledger keeps bs.final, so an oversized final array would
+// stay allocated for the life of the node.
 func (bs *blockState) growTo(n int) {
 	bs.txns = slices.Grow(bs.txns, n-len(bs.txns))
 	bs.pred = slices.Grow(bs.pred, n-len(bs.pred))
@@ -755,7 +744,7 @@ func New(cfg Config) *Executor {
 	e := &Executor{
 		cfg:            cfg,
 		mailbox:        eventq.New[event](),
-		work:           newScheduler(cfg.Scheduler, cfg.Workers),
+		work:           newScheduler(cfg.Scheduler),
 		blocks:         make(map[uint64]*blockState),
 		pendingCommits: make(map[uint64][]*types.CommitMsg),
 		stitcher:       depgraph.NewStitcher(cfg.GraphMode),
@@ -784,7 +773,7 @@ func (e *Executor) Start() {
 	go e.recvLoop()
 	go e.actorLoop()
 	for i := 0; i < e.cfg.Workers; i++ {
-		go e.worker(i)
+		go e.worker()
 	}
 	if e.cfg.StallTimeout > 0 {
 		e.wg.Add(1)
@@ -877,10 +866,10 @@ func (e *Executor) recvLoop() {
 // hits are a lock-free map lookup and base-store hits take only a
 // per-shard read lock, so workers executing non-conflicting transactions
 // proceed without contending on shared state.
-func (e *Executor) worker(id int) {
+func (e *Executor) worker() {
 	defer e.wg.Done()
 	for {
-		item, ok := e.work.Pop(id)
+		item, ok := e.work.Pop()
 		if !ok {
 			return
 		}
@@ -927,8 +916,6 @@ func (e *Executor) handleMsg(msg transport.Message) {
 		return
 	}
 	switch m := msg.Payload.(type) {
-	case *types.NewBlockMsg:
-		e.handleNewBlock(msg.From, m)
 	case *types.BlockSegmentMsg:
 		e.handleSegment(msg.From, m)
 	case *types.BlockSealMsg:
@@ -940,8 +927,8 @@ func (e *Executor) handleMsg(msg transport.Message) {
 	case *types.StateSyncResponseMsg:
 		e.handleSyncResponse(msg.From, m)
 	default:
-		// Unknown payloads are ignored; executors speak NEWBLOCK,
-		// SEGMENT, SEAL, COMMIT, and the state-sync pair.
+		// Unknown payloads are ignored; executors speak SEGMENT, SEAL,
+		// COMMIT, and the state-sync pair.
 	}
 }
 
@@ -978,80 +965,6 @@ func (e *Executor) noteSeen(num uint64) {
 		e.maxSeen = num + 1
 		e.mirror.maxSeen.Store(e.maxSeen)
 	}
-}
-
-// handleNewBlock records one orderer's block announcement and validates
-// the block once OrderQuorum matching announcements arrived.
-func (e *Executor) handleNewBlock(from types.NodeID, m *types.NewBlockMsg) {
-	if m.Block == nil || m.Orderer != from {
-		return
-	}
-	num := m.Block.Header.Number
-	e.noteSeen(num)
-	if num < e.cfg.Ledger.Height() {
-		return // already committed
-	}
-	if e.beyondHorizon(num) {
-		e.stats.droppedFuture.Add(1)
-		return
-	}
-	bs := e.getBlockState(num)
-	if bs.valid {
-		return
-	}
-	if _, dup := bs.ordererVotes[from]; dup {
-		return
-	}
-	// Digest (a hash over every transaction) only after the cheap
-	// early-outs: redundant post-quorum announcements cost nothing.
-	digest := m.Digest()
-	if e.cfg.VerifySigs {
-		if err := e.cfg.Verifier.Verify(string(from), digest[:], m.Sig); err != nil {
-			e.cfg.Logf("executor %s: bad NEWBLOCK signature from %s: %v", e.cfg.ID, from, err)
-			return
-		}
-	}
-	bs.ordererVotes[from] = digest
-	bs.ordererSigs[from] = m.Sig
-	bs.digestCount[digest]++
-	if _, ok := bs.proposals[digest]; !ok {
-		bs.proposals[digest] = m
-	}
-	if bs.digestCount[digest] >= e.cfg.OrderQuorum {
-		proposal := bs.proposals[digest]
-		if !e.validateBlock(proposal) {
-			e.cfg.Logf("executor %s: block %d failed structural validation", e.cfg.ID, num)
-			return
-		}
-		bs.evDigest = digest
-		bs.evStreamed = false
-		bs.evidence = endorsements(bs.ordererVotes, bs.ordererSigs, digest)
-		bs.trace.Mark(telemetry.MarkSealed)
-		bs.proposals = nil
-		if bs.started {
-			// The block is mid-stream in the window; the monolithic quorum
-			// must describe the same content.
-			e.adoptProposal(bs, proposal)
-		} else {
-			bs.valid = true
-			bs.contentDone = true
-			bs.msg = proposal
-			e.releaseStreams(bs)
-		}
-		e.pump()
-	}
-}
-
-// validateBlock checks the structural integrity of a quorum-backed block:
-// the header's transaction commitment and the graph's shape.
-func (e *Executor) validateBlock(m *types.NewBlockMsg) bool {
-	if !m.Block.VerifyTxRoot() {
-		return false
-	}
-	if m.Graph == nil || m.Graph.N != len(m.Block.Txns) {
-		return false
-	}
-	return m.Graph.Validate() == nil
 }
 
 // handleSegment accepts one streamed segment into the sender's per-block
@@ -1271,7 +1184,6 @@ func (e *Executor) handleSeal(from types.NodeID, m *types.BlockSealMsg) {
 	if bs.sealCount[digest] >= e.cfg.OrderQuorum {
 		bs.sealed = bs.seals[digest]
 		bs.evDigest = digest
-		bs.evStreamed = true
 		bs.trace.Mark(telemetry.MarkSealed)
 		bs.evidence = endorsements(bs.sealVotes, bs.sealSigs, digest)
 		// The seal parameters outlive bs.sealed (cleared when content
@@ -1356,82 +1268,97 @@ func (e *Executor) maybeInstallSeal(bs *blockState) {
 	// No complete matching stream yet; segments still in flight.
 }
 
+// sealedBlock pairs a seal's header with the content it claims to seal
+// and reports whether the header commits to exactly those transactions.
+// The edges need no check here: every segment's edges passed
+// validSegment on intake.
+func sealedBlock(seal *types.BlockSealMsg, txns []*types.Transaction) (*types.Block, bool) {
+	block := &types.Block{Header: seal.Header, Txns: txns}
+	return block, seal.Header.Count == len(txns) && block.VerifyTxRoot()
+}
+
 // adoptStream completes a speculatively admitted block from a complete,
 // seal-matching stream of a different orderer than the one that fed the
-// speculation (which crashed or broke): the assembled content is
-// validated like a monolithic proposal and the executed prefix is
-// checked digest for digest before the remainder is admitted.
+// speculation (which crashed or broke). The executed prefix must match
+// the stream — transaction digests AND dependency edges, since a
+// Byzantine stream could pair honest transactions with wrong edges and
+// wrong execution order — then the remainder is admitted and the block
+// finishes exactly as a sealed pinned stream would.
 func (e *Executor) adoptStream(bs *blockState, seal *types.BlockSealMsg, st *segStream) {
-	block := &types.Block{Header: seal.Header, Txns: st.txns}
-	graph := depgraph.FromPreds(st.preds)
-	msg := &types.NewBlockMsg{Block: block, Graph: graph, Apps: seal.Apps, Orderer: seal.Orderer}
-	if seal.Header.Count != len(st.txns) || !e.validateBlock(msg) {
+	block, ok := sealedBlock(seal, st.txns)
+	if !ok {
 		// A quorum sealed content that does not validate structurally:
 		// beyond the fault assumption, same as finishStreamed's check.
 		e.haltf("block %d sealed stream failed structural validation", bs.num)
 		return
 	}
-	e.adoptProposal(bs, msg)
+	n := len(bs.txns)
+	if n > len(st.txns) {
+		e.haltf("block %d stream ran past the sealed block (%d > %d txns)",
+			bs.num, n, len(st.txns))
+		return
+	}
+	for i := 0; i < n; i++ {
+		if bs.txns[i].Digest() != st.txns[i].Digest() {
+			e.haltf("block %d speculative prefix diverges from sealed content at %d", bs.num, i)
+			return
+		}
+		if !slices.Equal(bs.pred[i], st.preds[i]) {
+			e.haltf("block %d speculative graph diverges from sealed graph at %d", bs.num, i)
+			return
+		}
+	}
+	e.extendSegment(bs, st.txns[n:], st.preds[n:])
+	e.finishStarted(bs, block)
 }
 
-// installSealedContent assembles a not-yet-admitted streamed block into
-// the same shape a monolithic NEWBLOCK quorum produces; the normal
-// admission path takes it from there.
+// installSealedContent binds a not-yet-admitted block to the content of
+// a stream matching its seal quorum; the normal admission path takes it
+// from there.
 func (e *Executor) installSealedContent(bs *blockState, seal *types.BlockSealMsg,
 	txns []*types.Transaction, preds [][]int32) {
-	block := &types.Block{Header: seal.Header, Txns: txns}
-	graph := depgraph.FromPreds(preds)
-	msg := &types.NewBlockMsg{Block: block, Graph: graph, Apps: seal.Apps, Orderer: seal.Orderer}
-	if !e.validateBlock(msg) || seal.Header.Count != len(txns) {
+	block, ok := sealedBlock(seal, txns)
+	if !ok {
 		// An OrderQuorum of seals endorsed content whose header does not
 		// commit to it: beyond the fault assumption (and no retry is
 		// possible — each orderer seals a block exactly once).
 		e.haltf("block %d sealed stream failed structural validation", bs.num)
 		return
 	}
-	bs.valid = true
 	bs.contentDone = true
-	bs.msg = msg
-	bs.proposals = nil
+	bs.block = block
+	bs.preds = preds
 	e.releaseStreams(bs)
 }
 
 // finishStreamed completes a speculatively admitted block whose pinned
 // stream matches the sealed content: the header is verified against the
-// streamed transactions and the local chain, the synthesized NEWBLOCK
-// takes the place a monolithic quorum message would have, and buffered
-// remote COMMIT votes finally count.
+// streamed transactions and the local chain, and buffered remote COMMIT
+// votes finally count.
 func (e *Executor) finishStreamed(bs *blockState, seal *types.BlockSealMsg) {
-	block := &types.Block{Header: seal.Header, Txns: bs.txns}
-	if seal.Header.Count != len(bs.txns) || !block.VerifyTxRoot() {
+	block, ok := sealedBlock(seal, bs.txns)
+	if !ok {
 		e.haltf("block %d seal does not commit to the streamed transactions", bs.num)
 		return
 	}
-	graph := &depgraph.Graph{N: len(bs.txns), Succ: bs.succ, Pred: bs.pred}
-	if err := graph.Validate(); err != nil {
-		e.haltf("block %d streamed graph invalid: %v", bs.num, err)
-		return
-	}
-	msg := &types.NewBlockMsg{Block: block, Graph: graph, Apps: seal.Apps, Orderer: seal.Orderer}
-	e.finishStarted(bs, msg)
+	e.finishStarted(bs, block)
 }
 
 // finishStarted installs trusted full content on a block that is already
 // executing in the window, advancing the admission hash chain and
-// releasing buffered votes. Callers guarantee msg's transactions extend
-// bs.txns exactly.
-func (e *Executor) finishStarted(bs *blockState, msg *types.NewBlockMsg) {
-	if msg.Block.Header.PrevHash != bs.prevAdmit {
+// releasing buffered votes. Callers guarantee block's transactions are
+// exactly bs.txns.
+func (e *Executor) finishStarted(bs *blockState, block *types.Block) {
+	if block.Header.PrevHash != bs.prevAdmit {
 		e.haltf("block %d does not extend local chain", bs.num)
 		return
 	}
-	bs.valid = true
 	bs.contentDone = true
-	bs.msg = msg
-	bs.proposals = nil
+	bs.block = block
+	bs.preds = bs.pred
 	e.releaseStreams(bs)
 	bs.sealed = nil
-	e.admitPrev = msg.Block.Hash()
+	e.admitPrev = block.Hash()
 	// Results executed speculatively were held back from multicast until
 	// this moment; the content is now quorum-validated, so publish them.
 	e.flushCommits(bs)
@@ -1439,46 +1366,10 @@ func (e *Executor) finishStarted(bs *blockState, msg *types.NewBlockMsg) {
 	e.maybeComplete(bs)
 }
 
-// adoptProposal reconciles a monolithic NEWBLOCK quorum with a block
-// already admitted from segments: the speculative prefix must match the
-// quorum content — transaction digests AND dependency edges, since a
-// Byzantine stream could pair honest transactions with wrong edges and
-// wrong execution order — then the remainder is admitted and the block
-// finishes exactly as a sealed stream would.
-func (e *Executor) adoptProposal(bs *blockState, m *types.NewBlockMsg) {
-	n := len(bs.txns)
-	if n > len(m.Block.Txns) {
-		e.haltf("block %d stream ran past the quorum block (%d > %d txns)",
-			bs.num, n, len(m.Block.Txns))
-		return
-	}
-	for i := 0; i < n; i++ {
-		if bs.txns[i].Digest() != m.Block.Txns[i].Digest() {
-			e.haltf("block %d speculative prefix diverges from quorum content at %d", bs.num, i)
-			return
-		}
-		if !slices.Equal(bs.pred[i], m.Graph.Pred[i]) {
-			e.haltf("block %d speculative graph diverges from quorum graph at %d", bs.num, i)
-			return
-		}
-	}
-	if len(m.Block.Txns) > n {
-		bs.growTo(len(m.Block.Txns))
-		e.extendSegment(bs, m.Block.Txns[n:], m.Graph.Pred[n:])
-	}
-	e.finishStarted(bs, m)
-}
-
 func (e *Executor) getBlockState(num uint64) *blockState {
 	bs, ok := e.blocks[num]
 	if !ok {
-		bs = &blockState{
-			num:          num,
-			ordererVotes: make(map[types.NodeID]types.Hash),
-			ordererSigs:  make(map[types.NodeID][]byte),
-			digestCount:  make(map[types.Hash]int),
-			proposals:    make(map[types.Hash]*types.NewBlockMsg),
-		}
+		bs = &blockState{num: num}
 		if e.cfg.Tracer != nil {
 			// First consensus delivery for this height: the span starts.
 			bs.trace = e.cfg.Tracer.Start(num)
@@ -1491,10 +1382,10 @@ func (e *Executor) getBlockState(num uint64) *blockState {
 
 // pump drives the pipeline forward until it reaches a fixed point:
 // completed blocks finalize in strict block order (freeing window slots),
-// then blocks are admitted into the freed slots — validated monolithic
-// blocks wholesale, streamed blocks speculatively from their first
-// segment. A streamed block whose seal has not validated holds back the
-// admission of its successor (its transaction list is still growing, and
+// then blocks are admitted into the freed slots — sealed blocks
+// wholesale and, under OrderQuorum == 1, unsealed blocks speculatively
+// from their first segment. A block whose seal has not validated holds
+// back the admission of its successor (its transaction list is still growing, and
 // the cross-block stitcher requires strictly ordered extension), so the
 // window's tail is the only block that may be content-incomplete.
 // Admission can complete a block immediately (empty blocks, or blocks
@@ -1517,9 +1408,13 @@ func (e *Executor) pump() {
 			if !ok || bs.started {
 				break
 			}
-			if bs.valid {
+			if bs.contentDone {
 				e.admit(bs)
-			} else if st := bs.streams[bs.specFrom]; st != nil && !st.broken && len(st.txns) > 0 {
+			} else if st := bs.streams[bs.specFrom]; e.cfg.OrderQuorum == 1 &&
+				st != nil && !st.broken && len(st.txns) > 0 {
+				// One orderer's word is a quorum, so its stream may run
+				// ahead of the seal. Above quorum 1 a lone orderer could be
+				// equivocating: the block waits for the seal quorum.
 				e.admitStream(bs)
 			} else {
 				break
@@ -1553,13 +1448,13 @@ func (e *Executor) enterWindow(bs *blockState) {
 	e.mirror.windowLen.Store(int64(len(e.window)))
 }
 
-// admit moves one fully validated block into the execution window: it
-// installs the block's transactions and graph wholesale, seeds Algorithm
-// 1's indegrees (plus the cross-block edges the stitcher derives),
+// admit moves one sealed block into the execution window: it installs
+// the block's transactions and graph wholesale, seeds Algorithm 1's
+// indegrees (plus the cross-block edges the stitcher derives),
 // dispatches the ready transactions, and replays COMMIT messages that
 // raced ahead of the block.
 func (e *Executor) admit(bs *blockState) {
-	if bs.msg.Block.Header.PrevHash != e.admitPrev {
+	if bs.block.Header.PrevHash != e.admitPrev {
 		// A quorum of orderers signed a block that does not extend this
 		// node's chain: beyond the fault assumption. Halt rather than
 		// diverge.
@@ -1567,9 +1462,8 @@ func (e *Executor) admit(bs *blockState) {
 		return
 	}
 	e.enterWindow(bs)
-	e.admitPrev = bs.msg.Block.Hash()
-	bs.growTo(len(bs.msg.Block.Txns))
-	e.extendSegment(bs, bs.msg.Block.Txns, bs.msg.Graph.Pred)
+	e.admitPrev = bs.block.Hash()
+	e.extendSegment(bs, bs.block.Txns, bs.preds)
 	e.replayPending(bs)
 	e.maybeComplete(bs)
 }
@@ -1598,13 +1492,14 @@ func (e *Executor) admitStream(bs *blockState) {
 // extendSegment appends transactions (with their intra-block predecessor
 // edges) to an in-window block, growing every per-transaction array,
 // stitching cross-block conflicts, and dispatching transactions that are
-// immediately ready. It is the single admission point for transactions in
-// both paths: monolithic admission is one big extend.
+// immediately ready. It is the single admission point for transactions:
+// admitting a sealed block is one big extend.
 func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, preds [][]int32) {
 	if len(txns) == 0 {
 		return
 	}
 	start := len(bs.txns)
+	bs.growTo(start + len(txns))
 	for i, tx := range txns {
 		j := start + i
 		bs.txns = append(bs.txns, tx)
@@ -1721,7 +1616,7 @@ func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, pred
 // trusted content, so a Byzantine orderer cannot launder results through
 // a speculative stream.
 func (e *Executor) replayPending(bs *blockState) {
-	if !bs.started || !bs.valid {
+	if !bs.started || !bs.contentDone {
 		return
 	}
 	if buffered := e.pendingCommits[bs.num]; len(buffered) > 0 {
@@ -1764,20 +1659,17 @@ func (e *Executor) dispatch(bs *blockState, idx int) {
 	bs.trace.Mark(telemetry.MarkDispatched) // idempotent: first dispatch wins
 	bs.inflight[idx] = true
 	item := workItem{bs: bs, idx: idx, tx: bs.txns[idx], epoch: bs.epoch[idx]}
-	switch {
-	case e.heights != nil:
-		for len(bs.schedCell) <= idx {
-			bs.schedCell = append(bs.schedCell, nil)
-		}
-		item.cell = new(atomic.Int32)
-		bs.schedCell[idx] = item.cell
-		e.work.Push(item,
-			schedPriority(e.heights.Height(bs.num, idx), e.heights.OutDeg(bs.num, idx)), "")
-	case e.cfg.Scheduler == SchedLoadBalanced:
-		e.work.Push(item, 0, firstWriteKey(&item.tx.Op))
-	default:
-		e.work.Push(item, 0, "")
+	if e.heights == nil {
+		e.work.Push(item, 0)
+		return
 	}
+	for len(bs.schedCell) <= idx {
+		bs.schedCell = append(bs.schedCell, nil)
+	}
+	item.cell = new(atomic.Int32)
+	bs.schedCell[idx] = item.cell
+	e.work.Push(item,
+		schedPriority(e.heights.Height(bs.num, idx), e.heights.OutDeg(bs.num, idx)))
 }
 
 // refreshPriority re-pushes one queued transaction whose critical-path
@@ -1803,7 +1695,7 @@ func (e *Executor) refreshPriority(ref depgraph.TxRef) {
 		cell: new(atomic.Int32)}
 	bs.schedCell[idx] = item.cell
 	e.work.Push(item,
-		schedPriority(e.heights.Height(bs.num, idx), e.heights.OutDeg(bs.num, idx)), "")
+		schedPriority(e.heights.Height(bs.num, idx), e.heights.OutDeg(bs.num, idx)))
 	e.stats.prioRefresh.Add(1)
 }
 
@@ -1902,7 +1794,7 @@ func (e *Executor) handleExecDone(num uint64, idx int, epoch uint32, result type
 			}
 		}
 	}
-	if flush && bs.valid {
+	if flush && bs.contentDone {
 		e.flushCommits(bs)
 	}
 	e.pump()
@@ -1949,9 +1841,8 @@ func (e *Executor) handleCommitMsg(from types.NodeID, m *types.CommitMsg) {
 		}
 	}
 	bs, ok := e.blocks[m.BlockNum]
-	if !ok || !bs.started || !bs.valid {
-		// The block has not reached this node (or its quorum, or — for a
-		// streamed block — its seal) yet; buffer and replay once content
+	if !ok || !bs.started || !bs.contentDone {
+		// The block has not reached this node (or its seal quorum) yet; buffer and replay once content
 		// is both admitted and trusted. The per-sender byte budget sheds
 		// floods without ever touching an honest sender, whose
 		// outstanding results are bounded by its own pipeline window.
@@ -2210,7 +2101,7 @@ func (e *Executor) releaseGated(bs *blockState, idx int) {
 	e.stats.specHits.Add(1)
 	bs.outBuf = append(bs.outBuf, *r)
 	e.addVote(bs, idx, *r, e.cfg.ID)
-	if bs.valid {
+	if bs.contentDone {
 		e.flushCommits(bs)
 	}
 }
@@ -2394,11 +2285,11 @@ func (e *Executor) applyFinal(bs *blockState) {
 	}
 	if e.cfg.Persist != nil {
 		rec := &persist.BlockRecord{
-			Block:          bs.msg.Block,
+			Block:          bs.block,
 			Results:        bs.final,
 			Delta:          delta,
 			StateHash:      e.cfg.Store.Hash(),
-			Streamed:       bs.evStreamed,
+			Streamed:       true,
 			EvidenceDigest: bs.evDigest,
 			SealSegments:   bs.sealSegs,
 			SealCum:        bs.sealCum,
@@ -2416,7 +2307,7 @@ func (e *Executor) applyFinal(bs *blockState) {
 // and client notifications. With durability on, the pump calls it only
 // after the block's WAL record is durable.
 func (e *Executor) externalize(bs *blockState) {
-	entry := ledger.Entry{Block: bs.msg.Block, Results: bs.final}
+	entry := ledger.Entry{Block: bs.block, Results: bs.final}
 	if err := e.cfg.Ledger.Append(entry); err != nil {
 		e.haltf("ledger append failed for block %d: %v", bs.num, err)
 		return
@@ -2439,7 +2330,7 @@ func (e *Executor) externalize(bs *blockState) {
 	}
 	delete(e.pendingCommits, bs.num)
 	if e.cfg.OnCommit != nil {
-		e.cfg.OnCommit(bs.msg.Block, bs.final)
+		e.cfg.OnCommit(bs.block, bs.final)
 	}
 	if e.cfg.NotifyClients {
 		for i, tx := range bs.txns {

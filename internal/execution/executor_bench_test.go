@@ -9,7 +9,6 @@ import (
 
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/ledger"
 	"parblockchain/internal/persist"
 	"parblockchain/internal/state"
@@ -17,8 +16,8 @@ import (
 	"parblockchain/internal/types"
 )
 
-// benchRig is a single-executor pipeline fed raw NEWBLOCK messages — the
-// end-to-end hot path (graph-driven scheduling, worker-pool execution
+// benchRig is a single-executor pipeline fed raw segment and seal
+// messages — the end-to-end hot path (graph-driven scheduling, worker-pool execution
 // against the overlay, commit, store apply) without consensus or network
 // latency in the way.
 type benchRig struct {
@@ -28,8 +27,7 @@ type benchRig struct {
 	mgr     *persist.Manager
 	orderer transport.Endpoint
 	commits chan struct{}
-	prev    types.Hash
-	next    uint64
+	cutter  *blockCutter
 }
 
 func newBenchRig(b *testing.B, workers int) *benchRig {
@@ -51,7 +49,7 @@ func newBenchRigDepth(b *testing.B, workers, depth int, app1 contract.Contract,
 func newBenchRigDurable(b *testing.B, workers, depth int, app1 contract.Contract,
 	dataDir string, opts ...func(*Config)) *benchRig {
 	b.Helper()
-	r := &benchRig{commits: make(chan struct{}, 64)}
+	r := &benchRig{commits: make(chan struct{}, 64), cutter: newBlockCutter(0, types.ZeroHash)}
 	r.net = transport.NewInMemNetwork(transport.InMemConfig{})
 	execEP, _ := r.net.Endpoint("e1")
 	r.orderer, _ = r.net.Endpoint("o1")
@@ -74,8 +72,7 @@ func newBenchRigDurable(b *testing.B, workers, depth int, app1 contract.Contract
 		// resume feeding blocks at its recovered height (a fresh rig that
 		// kept announcing from block 0 would have everything dropped as
 		// already committed and hang).
-		r.next = led.Height()
-		r.prev = led.LastHash()
+		r.cutter = newBlockCutter(led.Height(), led.LastHash())
 	}
 	cfg := Config{
 		ID:            "e1",
@@ -112,26 +109,17 @@ func newBenchRigDurable(b *testing.B, workers, depth int, app1 contract.Contract
 	return r
 }
 
-// runBlock announces one block and waits for it to finalize.
-func (r *benchRig) runBlock(b *testing.B, txns []*types.Transaction) {
-	block := types.NewBlock(r.next, r.prev, txns)
-	r.next++
-	r.prev = block.Hash()
-	sets := make([]depgraph.RWSet, len(txns))
-	for i, tx := range txns {
-		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-		sets[i].Normalize()
-	}
-	msg := &types.NewBlockMsg{
-		Block:   block,
-		Graph:   depgraph.Build(sets, depgraph.Standard),
-		Apps:    block.Apps(),
-		Orderer: "o1",
-	}
-	if err := r.orderer.Send("e1", msg); err != nil {
+// send delivers one message from the rig's orderer.
+func (r *benchRig) send(b *testing.B, payload any) {
+	if err := r.orderer.Send("e1", payload); err != nil {
 		b.Fatal(err)
 	}
-	<-r.commits
+}
+
+// runBlock announces one block (one segment plus its seal) and waits for
+// it to finalize.
+func (r *benchRig) runBlock(b *testing.B, txns []*types.Transaction) {
+	r.runBlocks(b, [][]*types.Transaction{txns})
 }
 
 // runBlocks streams a batch of blocks into the executor without waiting
@@ -139,22 +127,8 @@ func (r *benchRig) runBlock(b *testing.B, txns []*types.Transaction) {
 // pattern the cross-block pipeline exists for.
 func (r *benchRig) runBlocks(b *testing.B, blocks [][]*types.Transaction) {
 	for _, txns := range blocks {
-		block := types.NewBlock(r.next, r.prev, txns)
-		r.next++
-		r.prev = block.Hash()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-			sets[i].Normalize()
-		}
-		msg := &types.NewBlockMsg{
-			Block:   block,
-			Graph:   depgraph.Build(sets, depgraph.Standard),
-			Apps:    block.Apps(),
-			Orderer: "o1",
-		}
-		if err := r.orderer.Send("e1", msg); err != nil {
-			b.Fatal(err)
+		for _, m := range r.cutter.cut(txns, 0, "o1").msgs() {
+			r.send(b, m)
 		}
 	}
 	for range blocks {
@@ -314,7 +288,7 @@ func skewedBlocks(startBlock, numBlocks, tail, chain int) [][]*types.Transaction
 	return blocks
 }
 
-// BenchmarkExecutorScheduler races the three dispatch schedulers on two
+// BenchmarkExecutorScheduler races the two dispatch schedulers on two
 // workload shapes at the default pipeline window (4): "chained" — the
 // cross-block linked workload of BenchmarkExecutorPipelined, where the
 // ready set is mostly uniform — and "skewed" — a hot serial chain

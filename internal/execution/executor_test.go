@@ -7,14 +7,13 @@ import (
 
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/ledger"
 	"parblockchain/internal/state"
 	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 )
 
-// harness drives a single executor through raw NEWBLOCK / COMMIT
+// harness drives a single executor through raw SEGMENT / SEAL / COMMIT
 // messages, playing the role of orderers and peer executors.
 type harness struct {
 	t       *testing.T
@@ -28,15 +27,14 @@ type harness struct {
 		block   *types.Block
 		results []types.TxResult
 	}
-	prevHash types.Hash
-	nextNum  uint64
+	cutter *blockCutter
 }
 
 // newHarness builds an executor "e1" that is agent for app1; "e2" is the
 // (simulated) agent for app2.
 func newHarness(t *testing.T, mutate func(*Config)) *harness {
 	t.Helper()
-	h := &harness{t: t}
+	h := &harness{t: t, cutter: newBlockCutter(0, types.ZeroHash)}
 	h.net = transport.NewInMemNetwork(transport.InMemConfig{})
 	execEP, _ := h.net.Endpoint("e1")
 	h.orderer, _ = h.net.Endpoint("o1")
@@ -95,27 +93,13 @@ func kvTx(app types.AppID, ts uint64, key types.Key, val string) *types.Transact
 	return tx
 }
 
-// sendBlock builds a block + graph and announces it from the orderer.
+// sendBlock cuts the next block of the chain and announces it from the
+// orderer as one segment plus its seal.
 func (h *harness) sendBlock(txns []*types.Transaction) *types.Block {
 	h.t.Helper()
-	block := types.NewBlock(h.nextNum, h.prevHash, txns)
-	h.nextNum++
-	h.prevHash = block.Hash()
-	sets := make([]depgraph.RWSet, len(txns))
-	for i, tx := range txns {
-		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-		sets[i].Normalize()
-	}
-	msg := &types.NewBlockMsg{
-		Block:   block,
-		Graph:   depgraph.Build(sets, depgraph.Standard),
-		Apps:    block.Apps(),
-		Orderer: "o1",
-	}
-	if err := h.orderer.Send("e1", msg); err != nil {
-		h.t.Fatal(err)
-	}
-	return block
+	sb := h.cutter.cut(txns, 0, "o1")
+	sendBlocks(h.t, func(m any) error { return h.orderer.Send("e1", m) }, sb)
+	return &types.Block{Header: sb.seal.Header, Txns: txns}
 }
 
 // sendCommit delivers remote agent results for app2 transactions.
@@ -199,7 +183,7 @@ func TestRemoteAppBlockNeedsCommitMsgs(t *testing.T) {
 func TestCommitBeforeBlockIsBuffered(t *testing.T) {
 	h := newHarness(t, nil)
 	remote := kvTx("app2", 1, "r", "v")
-	// COMMIT races ahead of NEWBLOCK.
+	// COMMIT races ahead of the block.
 	h.sendCommit(0, []types.TxResult{{
 		TxID: remote.ID, Index: 0,
 		Writes: []types.KV{{Key: "r", Val: []byte("v")}},
@@ -278,26 +262,56 @@ func TestBlocksFinalizeInOrder(t *testing.T) {
 	}
 }
 
+// TestOrderQuorumRequiresMatchingAnnouncements: with OrderQuorum = 2 one
+// orderer's block — one segment plus its seal — is not enough to act on,
+// not even speculatively; the second orderer's matching seal completes
+// the quorum and the block finalizes.
 func TestOrderQuorumRequiresMatchingAnnouncements(t *testing.T) {
 	h := newHarness(t, func(cfg *Config) { cfg.OrderQuorum = 2 })
 	o2, _ := h.net.Endpoint("o2")
-	block := types.NewBlock(0, types.ZeroHash, []*types.Transaction{kvTx("app1", 1, "q", "v")})
-	sets := []depgraph.RWSet{{Writes: []string{"q"}}}
-	msg := &types.NewBlockMsg{
-		Block: block, Graph: depgraph.Build(sets, depgraph.Standard),
-		Apps: block.Apps(), Orderer: "o1",
-	}
-	_ = h.orderer.Send("e1", msg)
+	sb := h.cutter.cut([]*types.Transaction{kvTx("app1", 1, "q", "v")}, 0, "o1")
+	sendBlocks(t, func(m any) error { return h.orderer.Send("e1", m) }, sb)
 	select {
 	case <-h.commits:
-		t.Fatal("single announcement must not reach quorum 2")
+		t.Fatal("single seal must not reach quorum 2")
 	case <-time.After(100 * time.Millisecond):
 	}
-	msg2 := &types.NewBlockMsg{
-		Block: block, Graph: msg.Graph, Apps: msg.Apps, Orderer: "o2",
+	if got := h.exec.Stats().TxExecuted; got != 0 {
+		t.Fatalf("executed %d transactions before the seal quorum", got)
 	}
-	_ = o2.Send("e1", msg2)
+	if err := o2.Send("e1", sb.from("o2").seal); err != nil {
+		t.Fatal(err)
+	}
 	h.awaitCommit(5 * time.Second)
+}
+
+// TestOrderQuorumOutvotesEquivocatingOrderer: with OrderQuorum = 2 the
+// first orderer to speak sends a one-segment block whose content diverges
+// from what o2 and o3 send. The executor must not run the lone orderer's
+// stream, must not halt, and must finalize the honest content the seal
+// quorum vouches for.
+func TestOrderQuorumOutvotesEquivocatingOrderer(t *testing.T) {
+	h := newHarness(t, func(cfg *Config) { cfg.OrderQuorum = 2 })
+	honestTxns := []*types.Transaction{kvTx("app1", 1, "q", "honest")}
+	evilTxns := []*types.Transaction{kvTx("app1", 1, "q", "evil")}
+	honest := h.cutter.cut(honestTxns, 0, "o1")
+	evil := newBlockCutter(0, types.ZeroHash).cut(evilTxns, 0, "o1")
+	sendBlocks(t, func(m any) error { return h.orderer.Send("e1", m) }, evil)
+	for _, id := range []types.NodeID{"o2", "o3"} {
+		ep, _ := h.net.Endpoint(id)
+		sendBlocks(t, func(m any) error { return ep.Send("e1", m) }, honest.from(id))
+	}
+	_, blk := h.awaitCommit(5 * time.Second)
+	if blk.Hash() != (&types.Block{Header: honest.seal.Header}).Hash() {
+		t.Fatal("finalized block is not the honest content")
+	}
+	if v, _ := h.store.Get("q"); string(v) != "honest" {
+		t.Fatalf("q = %q, want the honest write", v)
+	}
+	h.exec.Stop()
+	if h.exec.halted {
+		t.Fatal("executor halted on a single equivocating orderer")
+	}
 }
 
 func TestCommitFromNonAgentRejected(t *testing.T) {

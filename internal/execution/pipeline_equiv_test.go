@@ -3,15 +3,10 @@ package execution
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"parblockchain/internal/contract"
-	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/ledger"
-	"parblockchain/internal/persist"
 	"parblockchain/internal/state"
-	"parblockchain/internal/transport"
 	"parblockchain/internal/types"
 	"parblockchain/internal/workload"
 )
@@ -89,125 +84,24 @@ func refResults(genesis []types.KV, blocks [][]*types.Transaction) (types.Hash, 
 	return store.Hash(), all
 }
 
-// runPipelined streams the blocks through one executor at the given
-// pipeline depth and returns the final state hash, the ledger, and the
-// finalized results per block (in finalization order). A non-empty
-// dataDir enables the durability subsystem (snapshot every 2 blocks, so
-// short traces still exercise truncation) and, after the run, reopens
-// the directory to assert crash recovery reproduces the final state.
+// runPipelined feeds the blocks through one executor at the given
+// pipeline depth, each as one segment plus its seal (what an orderer with
+// SegmentTxns = 0 sends), and returns the final state hash, the ledger,
+// and the finalized results per block (in finalization order). A
+// non-empty dataDir enables the durability subsystem and, after the run,
+// asserts crash recovery reproduces the final state (see runStreamed).
 // opts mutate the executor Config after the rig defaults (scheduler,
 // prefetch, speculation knobs).
 func runPipelined(t *testing.T, depth int, dataDir string, genesis []types.KV,
 	blocks [][]*types.Transaction, opts ...func(*Config)) (types.Hash, *ledger.Ledger, [][]types.TxResult) {
 	t.Helper()
-	net := transport.NewInMemNetwork(transport.InMemConfig{})
-	defer net.Close()
-	execEP, _ := net.Endpoint("e1")
-	orderer, _ := net.Endpoint("o1")
-	registry := contract.NewRegistry()
-	agents := make(map[types.AppID][]types.NodeID, len(equivApps))
-	for _, app := range equivApps {
-		registry.Install(app, contract.NewAccounting())
-		agents[app] = []types.NodeID{"e1"}
-	}
-	var (
-		store state.Backend
-		led   *ledger.Ledger
-		mgr   *persist.Manager
-	)
-	if dataDir != "" {
-		var rec *persist.Recovered
-		var err error
-		mgr, rec, err = persist.Open(persist.Config{
-			Dir:              dataDir,
-			SnapshotInterval: 2,
-			Logf:             t.Logf,
-		}, genesis)
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, led = rec.Store, rec.Ledger
-	} else {
-		store = state.NewKVStore()
-		store.Apply(genesis)
-		led = ledger.New()
-	}
-	commits := make(chan []types.TxResult, len(blocks))
-	cfg := Config{
-		ID:            "e1",
-		Endpoint:      execEP,
-		Registry:      registry,
-		AgentsOf:      agents,
-		OrderQuorum:   1,
-		Executors:     []types.NodeID{"e1"},
-		Store:         store,
-		Ledger:        led,
-		Workers:       6,
-		PipelineDepth: depth,
-		Signer:        cryptoutil.NoopSigner{NodeID: "e1"},
-		Verifier:      cryptoutil.NoopVerifier{},
-		Persist:       mgr,
-		OnCommit: func(_ *types.Block, results []types.TxResult) {
-			commits <- results
-		},
-		Logf: func(string, ...any) {},
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	store = cfg.Store // an opt may swap the backend (tiered suite)
-	exec := New(cfg)
-	exec.Start()
-	defer exec.Stop()
-
-	var prev types.Hash
-	for num, txns := range blocks {
-		block := types.NewBlock(uint64(num), prev, txns)
-		prev = block.Hash()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{
-				Reads:  append([]string(nil), tx.Op.Reads...),
-				Writes: append([]string(nil), tx.Op.Writes...),
-			}
-			sets[i].Normalize()
-		}
-		msg := &types.NewBlockMsg{
-			Block:   block,
-			Graph:   depgraph.Build(sets, depgraph.Standard),
-			Apps:    block.Apps(),
-			Orderer: "o1",
-		}
-		if err := orderer.Send("e1", msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	finalized := make([][]types.TxResult, 0, len(blocks))
-	for range blocks {
-		select {
-		case results := <-commits:
-			finalized = append(finalized, results)
-		case <-time.After(30 * time.Second):
-			t.Fatalf("depth %d: block %d did not finalize", depth, len(finalized))
-		}
-	}
-	hash := store.Hash()
-	if mgr != nil {
-		// Every block is externalized, so every block is durable: a
-		// recovery from this directory must land on the same state.
-		exec.Stop()
-		if err := mgr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		verifyRecovery(t, dataDir, genesis, hash, led)
-	}
-	return hash, led, finalized
+	return runStreamed(t, depth, 0, 0, dataDir, genesis, blocks, opts...)
 }
 
 // allSchedulers enumerates every dispatch scheduler; the equivalence
 // suites run under each one — a scheduler is only admissible if it is
 // bit-identical to the sequential baseline on every path.
-var allSchedulers = []SchedulerKind{SchedFIFO, SchedCriticalPath, SchedLoadBalanced}
+var allSchedulers = []SchedulerKind{SchedFIFO, SchedCriticalPath}
 
 // withScheduler returns a Config option selecting a scheduler, plus a
 // small prefetch pool so the prefetch stage is exercised under every

@@ -7,7 +7,6 @@ import (
 
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/ledger"
 	"parblockchain/internal/state"
 	"parblockchain/internal/transport"
@@ -32,8 +31,7 @@ type specBenchRig struct {
 	orderer transport.Endpoint
 	ids     []types.NodeID
 	commits chan struct{}
-	prev    types.Hash
-	next    uint64
+	cutter  *blockCutter
 }
 
 func newSpecBenchRig(b *testing.B, speculate bool, voteDelay, execCost time.Duration) *specBenchRig {
@@ -41,6 +39,7 @@ func newSpecBenchRig(b *testing.B, speculate bool, voteDelay, execCost time.Dura
 	r := &specBenchRig{
 		ids:     []types.NodeID{"e1", "e2", "e3", "e4"},
 		commits: make(chan struct{}, 64),
+		cutter:  newBlockCutter(0, types.ZeroHash),
 	}
 	slow := map[types.NodeID]bool{"e2": true, "e4": true}
 	r.net = transport.NewInMemNetwork(transport.InMemConfig{
@@ -127,23 +126,11 @@ func crossAppChainBlock(blockNum, n int) []*types.Transaction {
 // finalize all of them.
 func (r *specBenchRig) runBlocks(b *testing.B, blocks [][]*types.Transaction) {
 	for _, txns := range blocks {
-		block := types.NewBlock(r.next, r.prev, txns)
-		r.next++
-		r.prev = block.Hash()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-			sets[i].Normalize()
-		}
-		msg := &types.NewBlockMsg{
-			Block:   block,
-			Graph:   depgraph.Build(sets, depgraph.Standard),
-			Apps:    block.Apps(),
-			Orderer: "o1",
-		}
-		for _, id := range r.ids {
-			if err := r.orderer.Send(id, msg); err != nil {
-				b.Fatal(err)
+		for _, m := range r.cutter.cut(txns, 0, "o1").msgs() {
+			for _, id := range r.ids {
+				if err := r.orderer.Send(id, m); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 
 	"parblockchain/internal/contract"
 	"parblockchain/internal/cryptoutil"
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/ledger"
 	"parblockchain/internal/persist"
 	"parblockchain/internal/state"
@@ -20,8 +19,8 @@ import (
 // (Config.Speculate): dependent transactions executing against a
 // predecessor's uncommitted (first-vote) result must leave ledger and
 // state bit-identical to the stall-for-quorum baseline — across pipeline
-// depths, tau settings, contention levels, monolithic and streamed
-// intake, and with durability enabled — and a divergent leading vote must
+// depths, tau settings, contention levels, one segment per block and
+// streamed intake, and with durability enabled — and a divergent leading vote must
 // cascade re-execution through the speculation subtree without ever
 // releasing a multicast derived from the invalidated value. The suite
 // runs under -race in CI (a named gating step).
@@ -174,36 +173,14 @@ func (n *specNet) broadcast(t testing.TB, payload any) {
 	}
 }
 
-// feedMonolithic announces every block as one NEWBLOCK to every executor.
-func (n *specNet) feedMonolithic(t testing.TB, blocks [][]*types.Transaction) {
-	t.Helper()
-	var prev types.Hash
-	for num, txns := range blocks {
-		block := types.NewBlock(uint64(num), prev, txns)
-		prev = block.Hash()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-			sets[i].Normalize()
-		}
-		n.broadcast(t, &types.NewBlockMsg{
-			Block:   block,
-			Graph:   depgraph.Build(sets, depgraph.Standard),
-			Apps:    block.Apps(),
-			Orderer: "o1",
-		})
-	}
-}
-
 // feedStreamed ships every block as segments plus a seal to every
-// executor (the streaming intake path under speculation).
+// executor (segTxns = 0: the whole block as one segment).
 func (n *specNet) feedStreamed(t testing.TB, blocks [][]*types.Transaction, segTxns int) {
 	t.Helper()
 	for _, sb := range cutStream(blocks, segTxns, "o1") {
-		for _, seg := range sb.segs {
-			n.broadcast(t, seg)
+		for _, m := range sb.msgs() {
+			n.broadcast(t, m)
 		}
-		n.broadcast(t, sb.seal)
 	}
 }
 
@@ -227,11 +204,7 @@ func runSpecNet(t *testing.T, cfg specNetConfig, genesis []types.KV,
 	blocks [][]*types.Transaction, segTxns int) (types.Hash, types.Hash) {
 	t.Helper()
 	n := newSpecNet(t, cfg, genesis)
-	if segTxns > 0 {
-		n.feedStreamed(t, blocks, segTxns)
-	} else {
-		n.feedMonolithic(t, blocks)
-	}
+	n.feedStreamed(t, blocks, segTxns)
 	n.awaitHeight(t, uint64(len(blocks)))
 	hash := n.stores[0].Hash()
 	tip := n.leds[0].LastHash()
@@ -261,8 +234,8 @@ func runSpecNet(t *testing.T, cfg specNetConfig, genesis []types.KV,
 // TestSpeculationEquivalence asserts, for cross-application conflict
 // chains at two contention levels, that speculation leaves ledger and
 // state bit-identical to the non-speculative path (and to the sequential
-// reference) at pipeline depths {1,4}, tau {1,2}, monolithic and
-// streamed intake — and, at the deepest configuration, with durability
+// reference) at pipeline depths {1,4}, tau {1,2}, one segment per block
+// and streamed intake — and, at the deepest configuration, with durability
 // enabled on every executor.
 func TestSpeculationEquivalence(t *testing.T) {
 	const (
@@ -306,7 +279,7 @@ func TestSpeculationEquivalence(t *testing.T) {
 
 			// Durability on: the WAL at the finalize boundary under
 			// speculative scheduling must neither change the results nor
-			// break recovery, monolithic and streamed.
+			// break recovery, one segment per block and streamed.
 			for _, segTxns := range []int{0, 16} {
 				gotHash, gotTip := runSpecNet(t, specNetConfig{
 					depth: 4, tau: 2, speculate: true, dataDir: t.TempDir(),
@@ -330,7 +303,6 @@ type divergentRig struct {
 	spyMsgs chan *types.CommitMsg
 	agentEP []transport.Endpoint // the foreign application's fake agents
 	block   *types.Block
-	graph   *depgraph.Graph
 	genesis []types.KV
 }
 
@@ -412,17 +384,8 @@ func newDivergentRig(t testing.TB, speculate bool, chainLen int) *divergentRig {
 		txns = append(txns, tx)
 	}
 	r.block = types.NewBlock(0, types.ZeroHash, txns)
-	sets := make([]depgraph.RWSet, len(txns))
-	for i, tx := range txns {
-		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-		sets[i].Normalize()
-	}
-	r.graph = depgraph.Build(sets, depgraph.Standard)
-	if err := orderer.Send("e1", &types.NewBlockMsg{
-		Block: r.block, Graph: r.graph, Apps: r.block.Apps(), Orderer: "o1",
-	}); err != nil {
-		t.Fatal(err)
-	}
+	sendBlocks(t, func(m any) error { return orderer.Send("e1", m) },
+		cutStream([][]*types.Transaction{txns}, 0, "o1")...)
 	t.Cleanup(func() {
 		exec.Stop()
 		net.Close()

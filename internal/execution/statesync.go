@@ -31,7 +31,6 @@ import (
 	"math/rand"
 	"time"
 
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/ledger"
 	"parblockchain/internal/persist"
 	"parblockchain/internal/types"
@@ -415,7 +414,12 @@ func (e *Executor) verifySyncRecord(rec *persist.BlockRecord) error {
 	if err := verifyDelta(rec); err != nil {
 		return fmt.Errorf("block %d: %w", num, err)
 	}
-	want := e.recomputeEvidence(rec)
+	if !rec.Streamed {
+		// Orderers endorse seals only; a record claiming a monolithic
+		// NEWBLOCK endorsement has no digest any orderer signs.
+		return fmt.Errorf("block %d evidence is not a seal endorsement", num)
+	}
+	want := recomputeEvidence(rec)
 	if want != rec.EvidenceDigest {
 		return fmt.Errorf("block %d evidence digest does not match its content", num)
 	}
@@ -439,32 +443,17 @@ func (e *Executor) verifySyncRecord(rec *persist.BlockRecord) error {
 }
 
 // recomputeEvidence derives, from the record's content alone, the digest
-// the orderer quorum endorsed: the seal digest for streamed blocks
-// (header + seal parameters + apps), the NEWBLOCK digest (block + the
-// deterministically rebuilt dependency graph) for monolithic ones. A
-// tampered transaction, edge, or seal parameter changes the digest, so
-// the endorsements no longer vouch for the content.
-func (e *Executor) recomputeEvidence(rec *persist.BlockRecord) types.Hash {
-	if rec.Streamed {
-		seal := &types.BlockSealMsg{
-			Header:   rec.Block.Header,
-			Segments: rec.SealSegments,
-			Cum:      rec.SealCum,
-			Apps:     rec.Block.Apps(),
-		}
-		return seal.Digest()
+// the orderer quorum endorsed: the seal digest (header + seal parameters
+// + apps). A tampered transaction or seal parameter changes the digest,
+// so the endorsements no longer vouch for the content.
+func recomputeEvidence(rec *persist.BlockRecord) types.Hash {
+	seal := &types.BlockSealMsg{
+		Header:   rec.Block.Header,
+		Segments: rec.SealSegments,
+		Cum:      rec.SealCum,
+		Apps:     rec.Block.Apps(),
 	}
-	sets := make([]depgraph.RWSet, len(rec.Block.Txns))
-	for i, tx := range rec.Block.Txns {
-		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-	}
-	var graph *depgraph.Graph
-	if e.cfg.PairwiseGraph {
-		graph = depgraph.BuildPairwise(sets, e.cfg.GraphMode)
-	} else {
-		graph = depgraph.Build(sets, e.cfg.GraphMode)
-	}
-	return (&types.NewBlockMsg{Block: rec.Block, Graph: graph}).Digest()
+	return seal.Digest()
 }
 
 // verifyDelta checks the record's state delta against its results: the
@@ -651,16 +640,15 @@ func (e *Executor) rebaseAfterSync() {
 		if e.heights != nil && bs.started {
 			e.heights.Remove(num)
 		}
-		if num >= tip && bs.contentDone && bs.msg != nil {
+		if num >= tip && bs.contentDone {
 			// Validated content survives the rebase; execution restarts
 			// from scratch under the new chain (admission re-checks the
 			// PrevHash linkage against the synced tip).
 			nb := e.getBlockState(num)
-			nb.valid = bs.valid
 			nb.contentDone = true
-			nb.msg = bs.msg
+			nb.block = bs.block
+			nb.preds = bs.preds
 			nb.evDigest = bs.evDigest
-			nb.evStreamed = bs.evStreamed
 			nb.evidence = bs.evidence
 			nb.sealSegs = bs.sealSegs
 			nb.sealCum = bs.sealCum

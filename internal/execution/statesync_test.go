@@ -26,9 +26,9 @@ import (
 
 // syncChain is a verifiable chain of finalization records built exactly
 // the way an honest executor's durability path would have logged them:
-// evidence recomputed over the block plus the deterministically rebuilt
-// graph, delta equal to the results' writes, state hash tracked
-// cumulatively.
+// evidence is the digest of the seal an orderer sends for the block as
+// one segment, delta equals the results' writes, and the state hash is
+// tracked cumulatively.
 type syncChain struct {
 	records   []*persist.BlockRecord
 	finalHash types.Hash // store hash after the whole chain
@@ -38,7 +38,7 @@ type syncChain struct {
 func buildSyncChain(n int) *syncChain {
 	c := &syncChain{}
 	store := state.NewKVStore()
-	var prev types.Hash
+	cutter := newBlockCutter(0, types.ZeroHash)
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%d", i%3) // recycle keys so overwrites matter
 		val := []byte{byte(i), 0xA5}
@@ -49,26 +49,24 @@ func buildSyncChain(n int) *syncChain {
 			ClientTS: uint64(i),
 			Op:       types.Operation{Method: "set", Writes: []types.Key{key}},
 		}
-		block := types.NewBlock(uint64(i), prev, []*types.Transaction{tx})
-		prev = block.Hash()
+		txns := []*types.Transaction{tx}
+		seal := cutter.cut(txns, 0, "o1").seal
 		delta := []types.KV{{Key: key, Val: val}}
 		store.Apply(delta)
-		sets := []depgraph.RWSet{{Reads: tx.Op.Reads, Writes: tx.Op.Writes}}
-		evidence := (&types.NewBlockMsg{
-			Block: block,
-			Graph: depgraph.Build(sets, depgraph.Standard),
-		}).Digest()
 		c.records = append(c.records, &persist.BlockRecord{
-			Block:          block,
+			Block:          &types.Block{Header: seal.Header, Txns: txns},
 			Results:        []types.TxResult{{TxID: tx.ID, Index: 0, Writes: delta}},
 			Delta:          delta,
 			StateHash:      store.Hash(),
-			EvidenceDigest: evidence,
+			Streamed:       true,
+			EvidenceDigest: seal.Digest(),
+			SealSegments:   seal.Segments,
+			SealCum:        seal.Cum,
 			Endorse:        []persist.Endorsement{{Node: "o1"}},
 		})
 	}
 	c.finalHash = store.Hash()
-	c.tipHash = prev
+	c.tipHash = cutter.prev
 	return c
 }
 
@@ -225,6 +223,38 @@ func TestStateSyncRejectsTamperedDelta(t *testing.T) {
 	}
 	if got, want := rig.store.Hash(), state.NewKVStore().Hash(); got != want {
 		t.Fatalf("store diverged from genesis: %x != %x", got[:4], want[:4])
+	}
+}
+
+// TestStateSyncRejectsNewBlockEvidence: orderers endorse only seals, so
+// a record whose evidence is a NEWBLOCK digest (Streamed = false, as in
+// records written before every block travelled as segments plus a seal)
+// vouches for nothing and is rejected, even when the digest matches the
+// block.
+func TestStateSyncRejectsNewBlockEvidence(t *testing.T) {
+	chain := buildSyncChain(4)
+	rig := newSyncPeerRig(t, []types.NodeID{"evil"})
+	var reqs atomic.Uint64
+	ep := rig.servePeer(t, "evil", &reqs, func(req *types.StateSyncRequestMsg) *types.StateSyncResponseMsg {
+		return chain.response(t, req, func(rec *persist.BlockRecord) {
+			sets := make([]depgraph.RWSet, len(rec.Block.Txns))
+			for i, tx := range rec.Block.Txns {
+				sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
+			}
+			rec.Streamed = false
+			rec.EvidenceDigest = (&types.NewBlockMsg{
+				Block: rec.Block, Graph: depgraph.Build(sets, depgraph.Standard),
+			}).Digest()
+		})
+	})
+	announce(t, ep, uint64(len(chain.records)-1))
+
+	waitFor(t, "two rejected attempts", func() bool {
+		return rig.exec.Stats().SyncRejected >= 2 && reqs.Load() >= 2
+	})
+	rig.shutdown()
+	if h := rig.led.Height(); h != 0 {
+		t.Fatalf("requester adopted %d blocks without seal evidence", h)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"parblockchain/internal/contract"
-	"parblockchain/internal/depgraph"
-	"parblockchain/internal/types"
 )
 
 // BenchmarkOrdererStreaming measures the executor-visible cost of the
@@ -15,10 +13,10 @@ import (
 // is delivered by consensus to the moment the first transaction has
 // executed, on a 200-tx low-contention block. Consensus delivery is paced
 // (ordererTxInterval per transaction, slept per segment batch), modeling
-// the ordered stream a real orderer consumes. The monolithic path cannot
-// show the executor anything until the cut: it accumulates all 200
-// transactions, builds the whole graph, and ships one NEWBLOCK, so the
-// first execution trails the entire ordering span plus graph build plus
+// the ordered stream a real orderer consumes. The whole-block path
+// (SegmentTxns = 0) cannot show the executor anything until the cut: it
+// accumulates all 200 transactions and ships them as one segment plus
+// the seal, so the first execution trails the entire ordering span plus
 // dissemination. The streaming path emits a signed 16-tx segment (with
 // appender-derived incremental edges) as soon as the stream yields one,
 // so execution starts ~192 ordering intervals earlier. The reported
@@ -27,7 +25,6 @@ import (
 func BenchmarkOrdererStreaming(b *testing.B) {
 	const (
 		blockTxns = 200
-		segTxns   = 16
 		// 100us per ordered transaction ~ a 10k tx/s consensus stream,
 		// the order of the paper's saturated Kafka setup. Coarse enough
 		// that per-segment sleeps dominate this host's timer resolution.
@@ -39,13 +36,13 @@ func BenchmarkOrdererStreaming(b *testing.B) {
 	// timer resolution).
 	pace := func(n int) { time.Sleep(time.Duration(n) * ordererTxInterval) }
 
-	run := func(b *testing.B, streamed bool) {
+	run := func(b *testing.B, segTxns int) {
 		r := newBenchRigDepth(b, 8, 4, contract.NewKV())
 		var firstExec time.Duration
 		executed := uint64(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			txns := independentBlock(i, blockTxns)
+			sb := r.cutter.cut(independentBlock(i, blockTxns), segTxns, "o1")
 			start := time.Now()
 			// Observe the first execution concurrently with emission: the
 			// streamed path executes while later segments are still being
@@ -57,79 +54,11 @@ func BenchmarkOrdererStreaming(b *testing.B) {
 				}
 				firstExecCh <- time.Since(start)
 			}(executed)
-			if streamed {
-				appender := depgraph.NewAppender(depgraph.Standard)
-				cum := types.ZeroHash
-				segs := 0
-				var preds [][]int32
-				segStart := 0
-				for j, tx := range txns {
-					set := depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-					set.Normalize()
-					preds = append(preds, appender.Append(set))
-					if j+1-segStart >= segTxns {
-						pace(j + 1 - segStart)
-						seg := &types.BlockSegmentMsg{
-							BlockNum: r.next,
-							Seg:      segs,
-							Start:    segStart,
-							Txns:     txns[segStart : j+1],
-							Preds:    preds,
-							Orderer:  "o1",
-						}
-						cum = types.ChainSegmentDigest(cum, seg.Digest())
-						if err := r.orderer.Send("e1", seg); err != nil {
-							b.Fatal(err)
-						}
-						segs++
-						segStart = j + 1
-						preds = nil
-					}
-				}
-				if segStart < len(txns) {
-					pace(len(txns) - segStart)
-					seg := &types.BlockSegmentMsg{
-						BlockNum: r.next, Seg: segs, Start: segStart,
-						Txns: txns[segStart:], Preds: preds, Orderer: "o1",
-					}
-					cum = types.ChainSegmentDigest(cum, seg.Digest())
-					if err := r.orderer.Send("e1", seg); err != nil {
-						b.Fatal(err)
-					}
-					segs++
-				}
-				appender.Finish()
-				block := types.NewBlock(r.next, r.prev, txns)
-				r.next++
-				r.prev = block.Hash()
-				seal := &types.BlockSealMsg{
-					Header:   block.Header,
-					Segments: segs,
-					Cum:      cum,
-					Apps:     block.Apps(),
-					Orderer:  "o1",
-				}
-				if err := r.orderer.Send("e1", seal); err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				pace(blockTxns) // the whole block must be ordered before the cut
-				sets := make([]depgraph.RWSet, len(txns))
-				for j, tx := range txns {
-					sets[j] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-					sets[j].Normalize()
-				}
-				graph := depgraph.Build(sets, depgraph.Standard)
-				block := types.NewBlock(r.next, r.prev, txns)
-				r.next++
-				r.prev = block.Hash()
-				msg := &types.NewBlockMsg{
-					Block: block, Graph: graph, Apps: block.Apps(), Orderer: "o1",
-				}
-				if err := r.orderer.Send("e1", msg); err != nil {
-					b.Fatal(err)
-				}
+			for _, seg := range sb.segs {
+				pace(len(seg.Txns)) // a segment leaves once consensus has delivered it
+				r.send(b, seg)
 			}
+			r.send(b, sb.seal)
 			firstExec += <-firstExecCh
 			<-r.commits
 			executed = r.exec.Stats().TxExecuted
@@ -137,6 +66,6 @@ func BenchmarkOrdererStreaming(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(firstExec.Nanoseconds())/float64(b.N), "first-exec-ns")
 	}
-	b.Run("monolithic", func(b *testing.B) { run(b, false) })
-	b.Run("segment=16", func(b *testing.B) { run(b, true) })
+	b.Run("whole-block", func(b *testing.B) { run(b, 0) })
+	b.Run("segment=16", func(b *testing.B) { run(b, 16) })
 }

@@ -17,72 +17,138 @@ import (
 
 // This file property-tests the segment-streaming contract: a block
 // delivered as BlockSegmentMsg frames plus a BlockSealMsg must leave the
-// ledger and the state bit-identical to the same block delivered as one
-// monolithic NEWBLOCK, at every segment size and pipeline depth, even
-// though the streamed path starts executing before the seal exists. The
-// suite runs under -race in CI (a named gating step).
+// ledger and the state bit-identical to the sequential reference
+// execution at every segment size — the whole block as one segment (what
+// an orderer with SegmentTxns = 0 sends) or many — and pipeline depth,
+// even though the streamed path starts executing before the seal exists.
+// The suite runs under -race in CI (a named gating step).
 
-// streamBlock is one block pre-cut into segments the way a streaming
-// orderer emits them: the appender's incremental edges per transaction,
-// chunked at segTxns boundaries, plus the closing seal.
+// streamBlock is one block pre-cut into segments the way an orderer
+// emits them: the appender's incremental edges per transaction, chunked
+// at segTxns boundaries, plus the closing seal.
 type streamBlock struct {
 	segs []*types.BlockSegmentMsg
 	seal *types.BlockSealMsg
 }
 
-// cutStream mirrors the orderer's streaming path (ordering.emitSegment +
-// cutBlock) for a test-controlled chain of blocks.
+// blockCutter mirrors the orderer's delivery path (ordering.emitSegment +
+// cutBlock) for a test-controlled chain of blocks: every cut derives the
+// appender's edges, splits the block into segments, and chains the seal
+// onto the previous block. It is how every test and benchmark in this
+// package hands blocks to an executor.
+type blockCutter struct {
+	appender *depgraph.Appender
+	next     uint64
+	prev     types.Hash
+}
+
+// newBlockCutter starts a chain at block number next, whose predecessor
+// hashes to prev (a restarted node resumes at its recovered height).
+func newBlockCutter(next uint64, prev types.Hash) *blockCutter {
+	return &blockCutter{appender: depgraph.NewAppender(depgraph.Standard), next: next, prev: prev}
+}
+
+// cut turns the next block of the chain into segments of segTxns
+// transactions — the whole block as one segment when segTxns <= 0 — plus
+// the closing seal.
+func (c *blockCutter) cut(txns []*types.Transaction, segTxns int, orderer types.NodeID) streamBlock {
+	preds := make([][]int32, len(txns))
+	for i, tx := range txns {
+		set := depgraph.RWSet{
+			Reads:  append([]string(nil), tx.Op.Reads...),
+			Writes: append([]string(nil), tx.Op.Writes...),
+		}
+		set.Normalize()
+		preds[i] = c.appender.Append(set)
+	}
+	c.appender.Finish()
+	if segTxns <= 0 {
+		segTxns = max(len(txns), 1)
+	}
+	var sb streamBlock
+	cum := types.ZeroHash
+	for start := 0; start < len(txns); start += segTxns {
+		end := min(start+segTxns, len(txns))
+		seg := &types.BlockSegmentMsg{
+			BlockNum: c.next,
+			Seg:      len(sb.segs),
+			Start:    start,
+			Txns:     txns[start:end],
+			Preds:    preds[start:end],
+			Orderer:  orderer,
+		}
+		cum = types.ChainSegmentDigest(cum, seg.Digest())
+		sb.segs = append(sb.segs, seg)
+	}
+	block := types.NewBlock(c.next, c.prev, txns)
+	c.next++
+	c.prev = block.Hash()
+	sb.seal = &types.BlockSealMsg{
+		Header:   block.Header,
+		Segments: len(sb.segs),
+		Cum:      cum,
+		Apps:     block.Apps(),
+		Orderer:  orderer,
+	}
+	return sb
+}
+
+// cutStream cuts a whole chain of blocks starting at block 0.
 func cutStream(blocks [][]*types.Transaction, segTxns int, orderer types.NodeID) []streamBlock {
+	c := newBlockCutter(0, types.ZeroHash)
 	out := make([]streamBlock, len(blocks))
-	appender := depgraph.NewAppender(depgraph.Standard)
-	var prev types.Hash
-	for num, txns := range blocks {
-		preds := make([][]int32, len(txns))
-		for i, tx := range txns {
-			set := depgraph.RWSet{
-				Reads:  append([]string(nil), tx.Op.Reads...),
-				Writes: append([]string(nil), tx.Op.Writes...),
-			}
-			set.Normalize()
-			preds[i] = appender.Append(set)
-		}
-		appender.Finish()
-		cum := types.ZeroHash
-		var segs []*types.BlockSegmentMsg
-		for start := 0; start < len(txns); start += segTxns {
-			end := start + segTxns
-			if end > len(txns) {
-				end = len(txns)
-			}
-			seg := &types.BlockSegmentMsg{
-				BlockNum: uint64(num),
-				Seg:      len(segs),
-				Start:    start,
-				Txns:     txns[start:end],
-				Preds:    preds[start:end],
-				Orderer:  orderer,
-			}
-			cum = types.ChainSegmentDigest(cum, seg.Digest())
-			segs = append(segs, seg)
-		}
-		block := types.NewBlock(uint64(num), prev, txns)
-		prev = block.Hash()
-		out[num] = streamBlock{
-			segs: segs,
-			seal: &types.BlockSealMsg{
-				Header:   block.Header,
-				Segments: len(segs),
-				Cum:      cum,
-				Apps:     block.Apps(),
-				Orderer:  orderer,
-			},
-		}
+	for i, txns := range blocks {
+		out[i] = c.cut(txns, segTxns, orderer)
 	}
 	return out
 }
 
-// streamRig is a single executor fed raw streaming (or monolithic)
-// messages, mirroring runPipelined for the segment path. A rig built
+// msgs lists the block's messages in the order an orderer sends them:
+// the segments, then the seal.
+func (sb streamBlock) msgs() []any {
+	out := make([]any, 0, len(sb.segs)+1)
+	for _, seg := range sb.segs {
+		out = append(out, seg)
+	}
+	return append(out, sb.seal)
+}
+
+// from returns copies of the block's messages attributed to another
+// orderer, as that orderer would send the same content.
+func (sb streamBlock) from(orderer types.NodeID) streamBlock {
+	out := streamBlock{segs: make([]*types.BlockSegmentMsg, len(sb.segs))}
+	for i, seg := range sb.segs {
+		cp := *seg
+		cp.Orderer = orderer
+		out.segs[i] = &cp
+	}
+	seal := *sb.seal
+	seal.Orderer = orderer
+	out.seal = &seal
+	return out
+}
+
+// sendBlocks delivers every block through send, each as its segments
+// followed by its seal.
+func sendBlocks(t testing.TB, send func(payload any) error, stream ...streamBlock) {
+	t.Helper()
+	for _, sb := range stream {
+		for _, m := range sb.msgs() {
+			if err := send(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// chainTip is the hash of the last block of a cut chain: the ledger tip
+// an executor fed the chain must reach.
+func chainTip(stream []streamBlock) types.Hash {
+	return (&types.Block{Header: stream[len(stream)-1].seal.Header}).Hash()
+}
+
+// streamRig is a single executor fed raw segment and seal messages
+// (runPipelined and runStreamed drive it). A rig built
 // with newDurableStreamRig additionally owns a persist.Manager, so
 // streamed finalization goes through the WAL exactly as in production.
 type streamRig struct {
@@ -286,11 +352,11 @@ func verifyRecovery(t testing.TB, dataDir string, genesis []types.KV,
 }
 
 // TestStreamEquivalence asserts, for randomized traces at several
-// contention levels and every scheduler, that streaming a block in
-// segments of {1, 16, 64} transactions at pipeline depths {1, 4} leaves
-// the state hash, the ledger chain, and every per-transaction result
-// bit-identical to the monolithic NEWBLOCK path (SegmentTxns=0) and to
-// the sequential reference execution.
+// contention levels and every scheduler, that streaming a block as one
+// segment (SegmentTxns = 0) or in segments of {1, 16, 64} transactions at
+// pipeline depths {1, 4} leaves the state hash, the ledger chain, and
+// every per-transaction result bit-identical to the sequential reference
+// execution.
 func TestStreamEquivalence(t *testing.T) {
 	const (
 		numBlocks = 6
@@ -301,17 +367,11 @@ func TestStreamEquivalence(t *testing.T) {
 			seed := int64(7000 + int(contention*100))
 			blocks, genesis := tracedBlocks(seed, contention, numBlocks, blockTxns)
 			wantHash, wantResults := refResults(genesis, blocks)
-
-			// Monolithic baseline (SegmentTxns=0) for the ledger chain.
-			monoHash, monoLed, _ := runPipelined(t, 4, "", genesis, blocks)
-			if monoHash != wantHash {
-				t.Fatal("monolithic baseline diverged from sequential reference")
-			}
-			wantChain := monoLed.LastHash()
+			wantChain := chainTip(cutStream(blocks, 0, "o1"))
 
 			for _, sched := range allSchedulers {
 				for _, depth := range []int{1, 4} {
-					for _, segTxns := range []int{1, 16, 64} {
+					for _, segTxns := range []int{0, 1, 16, 64} {
 						name := fmt.Sprintf("%s/depth=%d/seg=%d", sched, depth, segTxns)
 						gotHash, led, finalized := runStreamed(t, depth, segTxns, 0, "", genesis, blocks,
 							withScheduler(sched))
@@ -325,7 +385,7 @@ func TestStreamEquivalence(t *testing.T) {
 							t.Fatalf("%s: ledger chain invalid: %v", name, err)
 						}
 						if led.LastHash() != wantChain {
-							t.Fatalf("%s: ledger chain diverged from monolithic path", name)
+							t.Fatalf("%s: ledger chain diverged from the cut chain", name)
 						}
 						for b, results := range finalized {
 							if len(results) != len(wantResults[b]) {
@@ -465,23 +525,9 @@ func TestStreamRepinsBeforeAdmission(t *testing.T) {
 	b1segs := stream[1].segs
 	r.send(t, b1segs[0])
 	r.send(t, b1segs[2]) // gap: o1's stream breaks, pin must move
-	for _, seg := range b1segs {
-		o2seg := *seg
-		o2seg.Orderer = "o2"
-		if err := o2.Send("e1", &o2seg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	o2seal := *stream[1].seal
-	o2seal.Orderer = "o2"
-	if err := o2.Send("e1", &o2seal); err != nil {
-		t.Fatal(err)
-	}
+	sendBlocks(t, func(m any) error { return o2.Send("e1", m) }, stream[1].from("o2"))
 	// Now deliver block 0; both blocks must finalize.
-	for _, seg := range stream[0].segs {
-		r.send(t, seg)
-	}
-	r.send(t, stream[0].seal)
+	sendBlocks(t, func(m any) error { return r.orderer.Send("e1", m) }, stream[0])
 	r.awaitBlocks(t, 2)
 	if r.led.Height() != 2 {
 		t.Fatalf("ledger height = %d, want 2", r.led.Height())
@@ -508,18 +554,7 @@ func TestInHorizonCommitFloodCapped(t *testing.T) {
 	for i := 0; i < fits+overflow; i++ {
 		r.send(t, junk)
 	}
-	sets := make([]depgraph.RWSet, len(blocks[0]))
-	for i, tx := range blocks[0] {
-		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-		sets[i].Normalize()
-	}
-	block := types.NewBlock(0, types.ZeroHash, blocks[0])
-	r.send(t, &types.NewBlockMsg{
-		Block:   block,
-		Graph:   depgraph.Build(sets, depgraph.Standard),
-		Apps:    block.Apps(),
-		Orderer: "o1",
-	})
+	sendBlocks(t, func(m any) error { return r.orderer.Send("e1", m) }, cutStream(blocks, 0, "o1")...)
 	r.awaitBlocks(t, 1)
 	if got := r.exec.Stats().MsgsDroppedFuture; got != overflow {
 		t.Fatalf("MsgsDroppedFuture = %d, want %d", got, overflow)
@@ -551,18 +586,7 @@ func TestStreamAdoptsPeerAfterPinnedOrdererCrash(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// o2 streams the whole block and seals it.
-	for _, seg := range stream[0].segs {
-		o2seg := *seg
-		o2seg.Orderer = "o2"
-		if err := o2.Send("e1", &o2seg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	o2seal := *stream[0].seal
-	o2seal.Orderer = "o2"
-	if err := o2.Send("e1", &o2seal); err != nil {
-		t.Fatal(err)
-	}
+	sendBlocks(t, func(m any) error { return o2.Send("e1", m) }, stream[0].from("o2"))
 	r.awaitBlocks(t, 1)
 	if r.led.Height() != 1 {
 		t.Fatalf("ledger height = %d after peer adoption", r.led.Height())
@@ -570,7 +594,7 @@ func TestStreamAdoptsPeerAfterPinnedOrdererCrash(t *testing.T) {
 }
 
 // TestFarFutureFloodBounded is the bounded-buffering regression: a flood
-// of COMMIT and NEWBLOCK messages far beyond the horizon must be dropped
+// of COMMIT and block messages far beyond the horizon must be dropped
 // and counted, not buffered, and must not disturb normal processing.
 func TestFarFutureFloodBounded(t *testing.T) {
 	blocks, genesis := tracedBlocks(45, 0, 1, 4)
@@ -583,22 +607,9 @@ func TestFarFutureFloodBounded(t *testing.T) {
 			Executor: "o1",
 		})
 	}
-	sets := make([]depgraph.RWSet, len(blocks[0]))
-	for i, tx := range blocks[0] {
-		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-		sets[i].Normalize()
-	}
 	far := types.NewBlock(99999, types.Hash{1}, nil)
-	r.send(t, &types.NewBlockMsg{
-		Block: far, Graph: depgraph.Build(nil, depgraph.Standard), Orderer: "o1",
-	})
-	block := types.NewBlock(0, types.ZeroHash, blocks[0])
-	r.send(t, &types.NewBlockMsg{
-		Block:   block,
-		Graph:   depgraph.Build(sets, depgraph.Standard),
-		Apps:    block.Apps(),
-		Orderer: "o1",
-	})
+	r.send(t, &types.BlockSealMsg{Header: far.Header, Orderer: "o1"})
+	sendBlocks(t, func(m any) error { return r.orderer.Send("e1", m) }, cutStream(blocks, 0, "o1")...)
 	r.awaitBlocks(t, 1)
 	// The flood preceded the block on a FIFO link, so by finalization it
 	// has been fully processed: everything must have been dropped.

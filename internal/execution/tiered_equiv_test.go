@@ -89,8 +89,8 @@ func TestTieredPipelineEquivalence(t *testing.T) {
 }
 
 // TestTieredStreamEquivalence: segment streaming — including seals
-// lagging their segments — over a tiered backend matches the monolithic
-// in-memory path.
+// lagging their segments — over a tiered backend matches the sequential
+// reference and the cut chain.
 func TestTieredStreamEquivalence(t *testing.T) {
 	const (
 		numBlocks = 6
@@ -99,8 +99,7 @@ func TestTieredStreamEquivalence(t *testing.T) {
 	seed := int64(12000)
 	blocks, genesis := tracedBlocks(seed, 0.4, numBlocks, blockTxns)
 	wantHash, _ := refResults(genesis, blocks)
-	_, monoLed, _ := runPipelined(t, 4, "", genesis, blocks)
-	wantChain := monoLed.LastHash()
+	wantChain := chainTip(cutStream(blocks, 0, "o1"))
 
 	for _, segTxns := range []int{1, 16} {
 		for _, sealLag := range []int{0, 2} {
@@ -121,8 +120,8 @@ func TestTieredStreamEquivalence(t *testing.T) {
 
 // TestTieredSpeculationEquivalence: a three-executor fleet speculating
 // past the tau quorum, every executor on its own eviction-forcing
-// tiered store, converges to the sequential reference — monolithic and
-// streamed intake.
+// tiered store, converges to the sequential reference — one segment per
+// block and streamed intake.
 func TestTieredSpeculationEquivalence(t *testing.T) {
 	const (
 		numBlocks = 6
@@ -136,11 +135,7 @@ func TestTieredSpeculationEquivalence(t *testing.T) {
 		n := newSpecNet(t, specNetConfig{
 			depth: 4, tau: 2, speculate: true, tiered: true, sched: SchedCriticalPath,
 		}, genesis)
-		if segTxns > 0 {
-			n.feedStreamed(t, blocks, segTxns)
-		} else {
-			n.feedMonolithic(t, blocks)
-		}
+		n.feedStreamed(t, blocks, segTxns)
 		n.awaitHeight(t, uint64(numBlocks))
 		for i, s := range n.stores {
 			name := fmt.Sprintf("seg=%d/%s", segTxns, n.ids[i])

@@ -13,7 +13,7 @@ import (
 
 // BenchmarkOrdererDurable measures the durable log's cost on the block
 // cut path: transactions flow client → orderer → consensus → cut →
-// NEWBLOCK exactly as in the tests, with the cut-record fsync on the
+// segment + seal exactly as in the tests, with the cut-record fsync on the
 // critical path when a Dir is mounted. The mem row is the in-memory
 // baseline; wal-group fsyncs once per cut (entry records ride the group
 // commit), wal-always also fsyncs every entry append. fsyncs/block
@@ -77,7 +77,7 @@ func benchOrdererCutPath(b *testing.B, dir string, fsync persist.FsyncPolicy) {
 		defer close(done)
 		seen := 0
 		for msg := range execEP.Recv() {
-			if _, ok := msg.Payload.(*types.NewBlockMsg); ok {
+			if _, ok := msg.Payload.(*types.BlockSealMsg); ok {
 				if seen++; seen == blocks {
 					return
 				}

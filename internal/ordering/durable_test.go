@@ -145,7 +145,7 @@ func TestDurableOrdererLogRotationAndPruning(t *testing.T) {
 	}
 	f1 := durableFixture(t, dir, persist.FsyncAlways, mutate)
 	const blocks = 6
-	var last *types.NewBlockMsg
+	var last *delivered
 	for b := 0; b < blocks; b++ {
 		for i := 0; i < 3; i++ {
 			f1.submit(t, testTx("c1", uint64(b*3+i+1), nil, []types.Key{"k"}))
@@ -167,20 +167,9 @@ func TestDurableOrdererLogRotationAndPruning(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	var tip *types.NewBlockMsg
-	for {
-		done := false
-		select {
-		case msg := <-f2.exec.Recv():
-			if nb, ok := msg.Payload.(*types.NewBlockMsg); ok {
-				tip = nb
-			}
-		case <-time.After(300 * time.Millisecond):
-			done = true
-		}
-		if done {
-			break
-		}
+	var tip *delivered
+	for nb := f2.blocks.next(300 * time.Millisecond); nb != nil; nb = f2.blocks.next(300 * time.Millisecond) {
+		tip = nb
 	}
 	if tip == nil {
 		t.Fatal("replay re-multicast nothing from the retained window")

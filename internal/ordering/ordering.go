@@ -4,7 +4,9 @@
 // stream into blocks under three deterministic cut conditions (maximum
 // transaction count, maximum byte size, and a timeout marker ordered
 // through consensus), generates the block's dependency graph, and
-// multicasts the signed NEWBLOCK message to all executors.
+// streams the block to all executors as signed segments closed by a
+// signed seal. Without a graph (the OX baseline) the block goes out as
+// one NEWBLOCK message instead.
 package ordering
 
 import (
@@ -67,9 +69,9 @@ type Config struct {
 	// Consensus is this member's instance of the pluggable ordering
 	// protocol. The orderer starts and stops it.
 	Consensus consensus.Node
-	// Executors lists all executor nodes, the NEWBLOCK multicast targets.
+	// Executors lists all executor nodes, the block multicast targets.
 	Executors []types.NodeID
-	// Signer signs NEWBLOCK messages.
+	// Signer signs segments, seals, and NEWBLOCK messages.
 	Signer cryptoutil.Signer
 	// Verifier checks client request signatures.
 	Verifier cryptoutil.Verifier
@@ -96,17 +98,17 @@ type Config struct {
 	GraphMode depgraph.Mode
 	// UsePairwiseGraph selects the paper-faithful O(n^2) builder instead
 	// of the indexed one; Figure 5's block-size turnover is measured with
-	// pairwise generation (see DESIGN.md experiment A3). Pairwise
-	// generation is inherently a cut-time batch, so it is ignored when
-	// SegmentTxns enables streaming.
+	// pairwise generation (experiment A3). Pairwise generation is
+	// inherently a cut-time batch, so it is ignored when SegmentTxns
+	// streams segments before the cut.
 	UsePairwiseGraph bool
-	// SegmentTxns streams each block to the executors as it is built:
-	// every SegmentTxns ordered transactions are multicast in a signed
-	// BlockSegmentMsg carrying their incremental dependency edges, and
-	// the cut multicasts a small BlockSealMsg instead of a monolithic
-	// NEWBLOCK. Graph generation and dissemination move off the cut path
-	// entirely. Zero disables streaming (monolithic NEWBLOCK); streaming
-	// requires BuildGraph.
+	// SegmentTxns sets how a block with a graph travels to the
+	// executors. Every block goes out as signed BlockSegmentMsg frames
+	// (transactions plus their dependency edges) closed by a small
+	// signed BlockSealMsg. With SegmentTxns > 0 a segment is multicast
+	// every SegmentTxns ordered transactions, so graph generation and
+	// dissemination move off the cut path. Zero sends the whole block as
+	// one segment at the cut, then the seal.
 	SegmentTxns int
 	// Dir enables the durable orderer log: delivered consensus entries
 	// and cut decisions are appended to a segmented, CRC-checksummed
@@ -219,8 +221,9 @@ type Orderer struct {
 	// appender extends the current block's dependency graph as each
 	// ordered transaction is delivered — off the cut path — and
 	// pendingPreds holds, per pending transaction, the predecessor edges
-	// the appender derived for it. Nil when graphs are disabled or the
-	// pairwise cut-time builder is selected.
+	// the appender derived for it (or, for the pairwise cut-time builder,
+	// the edges it built at the cut). The appender is nil when graphs are
+	// disabled or the pairwise builder is selected.
 	appender     *depgraph.Appender
 	pendingPreds [][]int32
 	graphTick    uint64 // sampling counter for the build-time stat
@@ -296,10 +299,10 @@ func New(cfg Config) (*Orderer, error) {
 		seenCur: make(map[types.TxID]bool),
 		stopCh:  make(chan struct{}),
 	}
-	// The incremental appender serves both streaming (mandatory: segments
-	// carry its edges) and the monolithic indexed path (the graph is then
-	// ready at the cut instead of being built there). Only the
-	// paper-faithful pairwise ablation builds at cut time.
+	// The incremental appender derives every segment's edges as the
+	// stream is delivered, so the graph is ready at the cut instead of
+	// being built there. Only the paper-faithful pairwise ablation builds
+	// at cut time, and only when the block goes out in one segment.
 	if o.cfg.BuildGraph && (o.cfg.SegmentTxns > 0 || !o.cfg.UsePairwiseGraph) {
 		o.appender = depgraph.NewAppender(o.cfg.GraphMode)
 	}
@@ -309,11 +312,6 @@ func New(cfg Config) (*Orderer, error) {
 		}
 	}
 	return o, nil
-}
-
-// streaming reports whether this orderer ships blocks as segment streams.
-func (o *Orderer) streaming() bool {
-	return o.cfg.SegmentTxns > 0 && o.appender != nil
 }
 
 // Start launches the consensus instance, the receive loop, and the
@@ -540,7 +538,7 @@ func (o *Orderer) handleEntry(entry consensus.Entry) {
 			}
 			o.graphTick++
 			o.pendingPreds = append(o.pendingPreds, preds)
-			if o.streaming() && len(o.pending)-o.segStart >= o.cfg.SegmentTxns {
+			if o.cfg.SegmentTxns > 0 && len(o.pending)-o.segStart >= o.cfg.SegmentTxns {
 				o.emitSegment()
 			}
 		}
@@ -585,18 +583,36 @@ func (o *Orderer) emitSegment() {
 	o.stats.segmentsSent.Add(1)
 }
 
-// cutBlock seals the pending transactions into a block. In streaming mode
-// the transactions and their graph edges are already on the wire (modulo
-// a final partial segment), so the cut only multicasts a small signed
-// BlockSealMsg binding the header to the streamed content; in monolithic
-// mode it multicasts the classic NEWBLOCK with the full graph — taken
-// from the incremental appender, or built here when the paper-faithful
-// pairwise cost model is selected.
+// cutBlock seals the pending transactions into a block. With a graph,
+// the transactions and their edges are already on the wire when
+// SegmentTxns streams them (modulo a final partial segment), or go out
+// here as one segment, and the cut multicasts a small signed
+// BlockSealMsg binding the header to the streamed content. The
+// paper-faithful pairwise builder runs here, at the cut, and its
+// predecessor lists become that one segment's edges. Without a graph
+// (the OX baseline) the cut multicasts a NEWBLOCK.
 func (o *Orderer) cutBlock() {
 	txns := o.pending
-	streamed := o.streaming()
-	if streamed && o.segStart < len(o.pending) {
-		o.emitSegment() // final partial segment
+	if o.cfg.BuildGraph {
+		if o.appender == nil {
+			// Pairwise cut-time generation (the paper-faithful cost model).
+			// Sets are canonical by the handleEntry admission check, so no
+			// normalization pass (which would mutate the signed
+			// transactions) is needed. Pred lists are sorted and point
+			// backwards, exactly the shape a segment carries.
+			start := time.Now()
+			sets := make([]depgraph.RWSet, len(txns))
+			for i, tx := range txns {
+				sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
+			}
+			o.pendingPreds = depgraph.BuildPairwise(sets, o.cfg.GraphMode).Pred
+			o.stats.graphBuildNanos.Add(uint64(time.Since(start)))
+		} else {
+			o.appender.Finish()
+		}
+		if o.segStart < len(txns) {
+			o.emitSegment() // the whole block, or the final partial segment
+		}
 	}
 	o.pending = nil
 	o.pendingBytes = 0
@@ -610,23 +626,6 @@ func (o *Orderer) cutBlock() {
 	block := types.NewBlock(o.nextNum, o.prevHash, txns)
 	o.nextNum++
 	o.prevHash = block.Hash()
-
-	var graph *depgraph.Graph
-	if o.appender != nil {
-		graph = o.appender.Finish()
-	} else if o.cfg.BuildGraph {
-		// Pairwise cut-time generation (the paper-faithful cost model).
-		// Sets are canonical by the handleEntry admission check, so no
-		// normalization pass (which would mutate the signed transactions)
-		// is needed.
-		start := time.Now()
-		sets := make([]depgraph.RWSet, len(txns))
-		for i, tx := range txns {
-			sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
-		}
-		graph = depgraph.BuildPairwise(sets, o.cfg.GraphMode)
-		o.stats.graphBuildNanos.Add(uint64(time.Since(start)))
-	}
 
 	// Bound the dedupe set with a two-generation rotation: the IDs of the
 	// block just cut always survive at least one more rotation (in
@@ -642,12 +641,17 @@ func (o *Orderer) cutBlock() {
 	// Make the cut durable before any executor can learn of it: append
 	// and fsync the cut record ahead of the seal/NEWBLOCK multicast, so a
 	// crashed orderer can never have shipped a block it does not
-	// remember. Replay re-cuts are already on disk.
-	if o.dlog != nil && !o.replaying {
-		o.logCut(block.Header.Number, o.prevHash)
+	// remember. Replay re-cuts are already on disk; only the reported
+	// durable height moves, so it never lags a block already re-sent.
+	if o.dlog != nil {
+		if o.replaying {
+			o.stats.durableHeight.Store(o.nextNum)
+		} else {
+			o.logCut(block.Header.Number, o.prevHash)
+		}
 	}
 
-	if streamed {
+	if o.cfg.BuildGraph {
 		seal := &types.BlockSealMsg{
 			Header:   block.Header,
 			Segments: segs,
@@ -663,7 +667,6 @@ func (o *Orderer) cutBlock() {
 	} else {
 		msg := &types.NewBlockMsg{
 			Block:   block,
-			Graph:   graph,
 			Apps:    block.Apps(),
 			Orderer: o.cfg.ID,
 		}

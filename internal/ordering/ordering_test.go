@@ -42,8 +42,9 @@ var _ consensus.Node = (*fakeConsensus)(nil)
 type fixture struct {
 	net     *transport.InMemNetwork
 	orderer *Orderer
-	exec    transport.Endpoint // executor-side endpoint receiving NEWBLOCKs
+	exec    transport.Endpoint // executor-side endpoint receiving blocks
 	client  transport.Endpoint
+	blocks  *blockReader
 }
 
 func newFixture(t *testing.T, mutate func(*Config)) *fixture {
@@ -72,7 +73,7 @@ func newFixture(t *testing.T, mutate func(*Config)) *fixture {
 		t.Fatal(err)
 	}
 	o.Start()
-	f := &fixture{net: net, orderer: o, exec: execEP, client: clientEP}
+	f := &fixture{net: net, orderer: o, exec: execEP, client: clientEP, blocks: newBlockReader(execEP)}
 	t.Cleanup(func() {
 		o.Stop()
 		net.Close()
@@ -98,19 +99,68 @@ func (f *fixture) submit(t *testing.T, tx *types.Transaction) {
 	}
 }
 
-func (f *fixture) nextBlock(t *testing.T, timeout time.Duration) *types.NewBlockMsg {
-	t.Helper()
-	select {
-	case msg := <-f.exec.Recv():
-		nb, ok := msg.Payload.(*types.NewBlockMsg)
-		if !ok {
-			t.Fatalf("unexpected payload %T", msg.Payload)
+// delivered is one block as an executor receives it: the segments
+// reassembled under their seal's header, with the graph their edges
+// form — or, without a graph (the OX baseline), the NEWBLOCK's block.
+type delivered struct {
+	Block *types.Block
+	Graph *depgraph.Graph // nil for a graph-less NEWBLOCK
+	Seal  *types.BlockSealMsg
+	Segs  []*types.BlockSegmentMsg
+	From  types.NodeID
+}
+
+// blockReader reassembles delivered blocks from an executor endpoint,
+// keeping each orderer's segments apart until that orderer's seal.
+type blockReader struct {
+	ep   transport.Endpoint
+	segs map[types.NodeID][]*types.BlockSegmentMsg
+}
+
+func newBlockReader(ep transport.Endpoint) *blockReader {
+	return &blockReader{ep: ep, segs: make(map[types.NodeID][]*types.BlockSegmentMsg)}
+}
+
+// next returns the next block any orderer completes, or nil at timeout.
+func (r *blockReader) next(timeout time.Duration) *delivered {
+	deadline := time.After(timeout)
+	for {
+		select {
+		case msg := <-r.ep.Recv():
+			switch m := msg.Payload.(type) {
+			case *types.BlockSegmentMsg:
+				r.segs[msg.From] = append(r.segs[msg.From], m)
+			case *types.BlockSealMsg:
+				d := &delivered{Seal: m, From: msg.From}
+				var preds [][]int32
+				var txns []*types.Transaction
+				for _, seg := range r.segs[msg.From] {
+					if seg.BlockNum == m.Header.Number {
+						d.Segs = append(d.Segs, seg)
+						txns = append(txns, seg.Txns...)
+						preds = append(preds, seg.Preds...)
+					}
+				}
+				delete(r.segs, msg.From)
+				d.Block = &types.Block{Header: m.Header, Txns: txns}
+				d.Graph = depgraph.FromPreds(preds)
+				return d
+			case *types.NewBlockMsg:
+				return &delivered{Block: m.Block, From: msg.From}
+			}
+		case <-deadline:
+			return nil
 		}
-		return nb
-	case <-time.After(timeout):
-		t.Fatal("no NEWBLOCK received")
-		return nil
 	}
+}
+
+func (f *fixture) nextBlock(t *testing.T, timeout time.Duration) *delivered {
+	t.Helper()
+	d := f.blocks.next(timeout)
+	if d == nil {
+		t.Fatal("no block received")
+	}
+	return d
 }
 
 func TestCutOnMaxTxns(t *testing.T) {
@@ -187,6 +237,36 @@ func TestGraphDisabledForOX(t *testing.T) {
 	nb := f.nextBlock(t, 2*time.Second)
 	if nb.Graph != nil {
 		t.Fatal("OX mode must not carry graphs")
+	}
+}
+
+// TestPairwiseGraphSentAsOneSegment: the paper-faithful pairwise builder
+// runs at the cut, and with SegmentTxns = 0 its predecessor lists go out
+// as the block's one segment — the full pairwise conflict relation, in
+// the sorted, backward-pointing shape every segment carries.
+func TestPairwiseGraphSentAsOneSegment(t *testing.T) {
+	f := newFixture(t, func(cfg *Config) { cfg.UsePairwiseGraph = true })
+	for i := 0; i < 3; i++ {
+		f.submit(t, testTx("c1", uint64(i+1), nil, []types.Key{"k"}))
+	}
+	nb := f.nextBlock(t, 2*time.Second)
+	if len(nb.Segs) != 1 || nb.Seal.Segments != 1 {
+		t.Fatalf("got %d segments, seal says %d, want 1", len(nb.Segs), nb.Seal.Segments)
+	}
+	sets := make([]depgraph.RWSet, len(nb.Block.Txns))
+	for i, tx := range nb.Block.Txns {
+		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
+	}
+	want := depgraph.BuildPairwise(sets, depgraph.Standard)
+	if nb.Graph.EdgeCount() != 3 || nb.Graph.EdgeCount() != want.EdgeCount() {
+		t.Fatalf("segment carries %d edges, pairwise build %d, want 3",
+			nb.Graph.EdgeCount(), want.EdgeCount())
+	}
+	if err := nb.Graph.Validate(); err != nil {
+		t.Fatalf("pairwise segment graph invalid: %v", err)
+	}
+	if !nb.Block.VerifyTxRoot() {
+		t.Fatal("seal header does not commit to the segment's transactions")
 	}
 }
 

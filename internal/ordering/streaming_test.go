@@ -12,40 +12,12 @@ import (
 	"parblockchain/internal/types"
 )
 
-// collectStream drains the executor endpoint until it has seen the given
-// block's seal, returning the block's segments (in order) and the seal.
-func collectStream(t *testing.T, exec transport.Endpoint, blockNum uint64,
-	timeout time.Duration) ([]*types.BlockSegmentMsg, *types.BlockSealMsg) {
-	t.Helper()
-	var segs []*types.BlockSegmentMsg
-	deadline := time.After(timeout)
-	for {
-		select {
-		case msg := <-exec.Recv():
-			switch m := msg.Payload.(type) {
-			case *types.BlockSegmentMsg:
-				if m.BlockNum == blockNum {
-					segs = append(segs, m)
-				}
-			case *types.BlockSealMsg:
-				if m.Header.Number == blockNum {
-					return segs, m
-				}
-			default:
-				t.Fatalf("unexpected payload %T in streaming mode", msg.Payload)
-			}
-		case <-deadline:
-			t.Fatalf("no seal for block %d (have %d segments)", blockNum, len(segs))
-		}
-	}
-}
-
 // TestStreamingSegmentsReassembleToMonolithicBlock is the orderer-side
 // streaming contract: the segments plus the seal must reassemble to
-// exactly the block and graph the monolithic path would have multicast —
-// same transactions, same header (hence same hash chain), same edges, and
-// a cumulative digest that matches recomputing the chain over the
-// received segments.
+// exactly the block and graph a whole-block build produces — same
+// transactions, same header (hence same hash chain), same edges as
+// depgraph.Build, and a cumulative digest that matches recomputing the
+// chain over the received segments.
 func TestStreamingSegmentsReassembleToMonolithicBlock(t *testing.T) {
 	f := newFixture(t, func(cfg *Config) {
 		cfg.MaxBlockTxns = 5
@@ -60,7 +32,8 @@ func TestStreamingSegmentsReassembleToMonolithicBlock(t *testing.T) {
 		}
 		f.submit(t, testTx("c1", uint64(i+1), []types.Key{key}, []types.Key{key}))
 	}
-	segs, seal := collectStream(t, f.exec, 0, 2*time.Second)
+	nb := f.nextBlock(t, 2*time.Second)
+	segs, seal := nb.Segs, nb.Seal
 
 	// 5 txns at 2 per segment: 2 full segments + 1 final partial.
 	if len(segs) != 3 || seal.Segments != 3 {
@@ -84,7 +57,7 @@ func TestStreamingSegmentsReassembleToMonolithicBlock(t *testing.T) {
 	if !block.VerifyTxRoot() || seal.Header.Count != len(txns) {
 		t.Fatal("seal header does not commit to the streamed transactions")
 	}
-	// Edges must equal the monolithic builder's output.
+	// Edges must equal the whole-block builder's output.
 	sets := make([]depgraph.RWSet, len(txns))
 	for i, tx := range txns {
 		sets[i] = depgraph.RWSet{Reads: tx.Op.Reads, Writes: tx.Op.Writes}
@@ -96,7 +69,7 @@ func TestStreamingSegmentsReassembleToMonolithicBlock(t *testing.T) {
 		t.Fatalf("streamed graph invalid: %v", err)
 	}
 	if got.EdgeCount() != want.EdgeCount() || got.EdgeCount() == 0 {
-		t.Fatalf("streamed graph has %d edges, monolithic build %d",
+		t.Fatalf("streamed graph has %d edges, whole-block build %d",
 			got.EdgeCount(), want.EdgeCount())
 	}
 	for i := range want.Succ {
@@ -111,8 +84,7 @@ func TestStreamingSegmentsReassembleToMonolithicBlock(t *testing.T) {
 	}
 }
 
-// TestStreamingHashChainAcrossSeals checks consecutive seals chain like
-// monolithic blocks.
+// TestStreamingHashChainAcrossSeals checks consecutive seals chain.
 func TestStreamingHashChainAcrossSeals(t *testing.T) {
 	f := newFixture(t, func(cfg *Config) {
 		cfg.MaxBlockTxns = 2
@@ -121,8 +93,8 @@ func TestStreamingHashChainAcrossSeals(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		f.submit(t, testTx("c1", uint64(i+1), nil, []types.Key{"k"}))
 	}
-	_, seal0 := collectStream(t, f.exec, 0, 2*time.Second)
-	_, seal1 := collectStream(t, f.exec, 1, 2*time.Second)
+	seal0 := f.nextBlock(t, 2*time.Second).Seal
+	seal1 := f.nextBlock(t, 2*time.Second).Seal
 	b0 := &types.Block{Header: seal0.Header}
 	if seal1.Header.PrevHash != b0.Hash() {
 		t.Fatal("hash chain broken between streamed blocks")
@@ -142,7 +114,7 @@ func TestSeenTxSurvivesRotation(t *testing.T) {
 	// several two-generation rotations (len(cur) >= 8), so the old code's
 	// forget-and-reorder bug manifests as a duplicate block here.
 	var all []*types.Transaction
-	var blocks []*types.NewBlockMsg
+	var blocks []*delivered
 	for i := 0; i < 20; i++ {
 		tx := testTx("c1", uint64(i+1), nil, []types.Key{"k"})
 		all = append(all, tx)
@@ -160,7 +132,7 @@ func TestSeenTxSurvivesRotation(t *testing.T) {
 	// been cut by now.
 	f.submit(t, testTx("c1", 100, nil, []types.Key{"k"}))
 	f.submit(t, testTx("c1", 101, nil, []types.Key{"k"}))
-	blocks = append(blocks, collectBlocks(t, f.exec, 1)...)
+	blocks = append(blocks, f.nextBlock(t, 5*time.Second))
 	seen := make(map[types.TxID]int)
 	for _, nb := range blocks {
 		for _, tx := range nb.Block.Txns {
@@ -191,24 +163,6 @@ func TestNonCanonicalAccessSetsDropped(t *testing.T) {
 	if len(nb.Block.Txns) != 1 || nb.Block.Txns[0].ID != good.ID {
 		t.Fatalf("canonical transaction missing from block: %+v", nb.Block.Txns)
 	}
-}
-
-// collectBlocks drains n NEWBLOCK messages from the endpoint.
-func collectBlocks(t *testing.T, exec transport.Endpoint, n int) []*types.NewBlockMsg {
-	t.Helper()
-	out := make([]*types.NewBlockMsg, 0, n)
-	deadline := time.After(5 * time.Second)
-	for len(out) < n {
-		select {
-		case msg := <-exec.Recv():
-			if nb, ok := msg.Payload.(*types.NewBlockMsg); ok {
-				out = append(out, nb)
-			}
-		case <-deadline:
-			t.Fatalf("received %d of %d blocks", len(out), n)
-		}
-	}
-	return out
 }
 
 // broadcastConsensus delivers one scripted, totally ordered entry stream
@@ -315,24 +269,19 @@ func TestTimeoutCutDeterministicAcrossOrderers(t *testing.T) {
 		num  uint64
 		from types.NodeID
 	}
-	got := make(map[key]*types.NewBlockMsg)
-	deadline := time.After(5 * time.Second)
+	got := make(map[key]*delivered)
+	reader := newBlockReader(execEP)
 	for len(got) < 4 {
-		select {
-		case msg := <-execEP.Recv():
-			nb, ok := msg.Payload.(*types.NewBlockMsg)
-			if !ok {
-				t.Fatalf("unexpected payload %T", msg.Payload)
-			}
-			k := key{nb.Block.Header.Number, msg.From}
-			if prev, dup := got[k]; dup {
-				t.Fatalf("orderer %s cut block %d twice (hashes %v / %v)",
-					msg.From, k.num, prev.Block.Hash(), nb.Block.Hash())
-			}
-			got[k] = nb
-		case <-deadline:
-			t.Fatalf("received %d of 4 NEWBLOCKs: %v", len(got), got)
+		nb := reader.next(5 * time.Second)
+		if nb == nil {
+			t.Fatalf("received %d of 4 blocks: %v", len(got), got)
 		}
+		k := key{nb.Block.Header.Number, nb.From}
+		if prev, dup := got[k]; dup {
+			t.Fatalf("orderer %s cut block %d twice (hashes %v / %v)",
+				nb.From, k.num, prev.Block.Hash(), nb.Block.Hash())
+		}
+		got[k] = nb
 	}
 	for _, num := range []uint64{0, 1} {
 		a, b := got[key{num, "o1"}], got[key{num, "o2"}]
@@ -342,8 +291,8 @@ func TestTimeoutCutDeterministicAcrossOrderers(t *testing.T) {
 		if a.Block.Hash() != b.Block.Hash() {
 			t.Fatalf("block %d hashes diverge across orderers", num)
 		}
-		if a.Digest() != b.Digest() {
-			t.Fatalf("block %d NEWBLOCK digests (graph shape) diverge", num)
+		if a.Seal.Digest() != b.Seal.Digest() {
+			t.Fatalf("block %d seal digests (segment content) diverge", num)
 		}
 	}
 	if n := len(got[key{0, "o1"}].Block.Txns); n != 3 {

@@ -90,11 +90,10 @@ type Config struct {
 	// ExecWorkers sizes each executor's worker pool (default 8).
 	ExecWorkers int
 	// Scheduler selects each executor's ready-transaction dispatch policy:
-	// FIFO (the paper's baseline), critical-path (longest remaining
-	// dependency chain first), or load-balanced (per-worker queues keyed
-	// by first write, QueCC-style, with stealing). Schedulers reorder only
-	// the ready set, so ledger and state are bit-identical under all of
-	// them; the zero value is FIFO.
+	// FIFO (the paper's baseline) or critical-path (longest remaining
+	// dependency chain first). Schedulers reorder only the ready set, so
+	// ledger and state are bit-identical under both; the zero value is
+	// FIFO.
 	Scheduler execution.SchedulerKind
 	// PrefetchWorkers sizes each executor's read-set prefetch pool: as a
 	// block is admitted, its declared read sets are warmed against the
@@ -111,12 +110,11 @@ type Config struct {
 	// SegmentTxns makes the orderers stream each block to the executors
 	// in signed segments of this many transactions (with incrementally
 	// generated dependency edges) as consensus delivers them, closed by a
-	// small seal message — instead of one monolithic NEWBLOCK at the cut.
-	// Executors begin executing a block's early transactions while its
-	// tail is still being ordered; finalization still waits for a quorum
-	// of matching seals, so ledger and state are identical either way.
-	// Zero keeps the monolithic NEWBLOCK wire format (also the right
-	// setting for deployments whose observer tooling consumes NEWBLOCK).
+	// small seal message. Executors begin executing a block's early
+	// transactions while its tail is still being ordered; finalization
+	// still waits for a quorum of matching seals, so ledger and state are
+	// identical at every segment size. Zero sends each block as one
+	// segment at the cut, then the seal.
 	SegmentTxns int
 	// DataDir roots the durability subsystem. Each executor keeps a
 	// write-ahead log of finalized blocks and periodic state snapshots
@@ -386,8 +384,8 @@ func (nw *Network) verifier() cryptoutil.Verifier {
 	return cryptoutil.NoopVerifier{}
 }
 
-// orderQuorum returns the number of matching NEWBLOCK messages an executor
-// requires: f+1 under PBFT (a correct orderer among them), 1 under the
+// orderQuorum returns the number of matching seals an executor requires:
+// f+1 under PBFT (a correct orderer among them), 1 under the
 // crash-fault-tolerant protocols where orderers do not lie.
 func (nw *Network) orderQuorum() int {
 	if nw.cfg.Consensus == ConsensusPBFT {
@@ -417,8 +415,8 @@ func buildConsensus(kind ConsensusKind, id types.NodeID, members []types.NodeID,
 	}
 }
 
-// Start launches every node. Executors start first so no NEWBLOCK is
-// dropped. Nodes listed in Config.OpsAddrs get their ops servers here;
+// Start launches every node. Executors start first so no block segment
+// or seal is dropped. Nodes listed in Config.OpsAddrs get their ops servers here;
 // a server that fails to listen is logged and skipped, never fatal.
 func (nw *Network) Start() {
 	for _, e := range nw.Executors {
@@ -631,7 +629,6 @@ func (nw *Network) buildExecutor(i int, id types.NodeID) (*execution.Executor,
 		PrefetchWorkers: cfg.PrefetchWorkers,
 		PipelineDepth:   cfg.PipelineDepth,
 		GraphMode:       cfg.GraphMode,
-		PairwiseGraph:   cfg.UsePairwiseGraph,
 		EagerCommit:     cfg.EagerCommit,
 		Speculate:       cfg.Speculate,
 		MinHorizon:      cfg.MinHorizon,

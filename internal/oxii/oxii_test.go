@@ -233,7 +233,7 @@ func TestReplicaConsistency(t *testing.T) {
 }
 
 // TestPBFTConsensusPlug runs the end-to-end flow over PBFT with 4
-// orderers, checking the pluggable-consensus path and the f+1 NEWBLOCK
+// orderers, checking the pluggable-consensus path and the f+1 seal
 // quorum.
 func TestPBFTConsensusPlug(t *testing.T) {
 	nw, _ := testNetwork(t, func(cfg *Config) {

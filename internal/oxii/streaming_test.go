@@ -13,8 +13,8 @@ import (
 // TestStreamingNetworkConvergence runs the full deployment — 3 streaming
 // orderers over consensus, 3 executors, crypto on — with segment
 // streaming enabled, under cross-application traffic, and checks every
-// replica converges to the same ledger and state exactly as the
-// monolithic path does. This is the system-level closure of the
+// replica converges to the same ledger and state exactly as one segment
+// per block does. This is the system-level closure of the
 // stream-equivalence property: signed segments and seals from multiple
 // orderers, quorum seal validation, and speculative execution all in one
 // run.
@@ -84,7 +84,7 @@ func TestStreamingNetworkConvergence(t *testing.T) {
 		return want, nw.Ledgers[0].Height()
 	}
 
-	// The same workload over streaming and monolithic deployments must
+	// The same workload over every segment size must
 	// produce the same state; block boundaries depend on timing, so only
 	// the state (balances) is compared, via a fresh deterministic check
 	// per deployment rather than cross-run hash equality.

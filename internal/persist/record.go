@@ -41,8 +41,7 @@ type Endorsement struct {
 	// Node is the endorsing orderer.
 	Node types.NodeID
 	// Sig is the orderer's signature over the endorsed digest (the
-	// NEWBLOCK digest for monolithic blocks, the seal digest for
-	// streamed ones).
+	// block's seal digest).
 	Sig []byte
 }
 
@@ -62,13 +61,15 @@ type BlockRecord struct {
 	// Delta was applied; recovery recomputes and compares it per record.
 	StateHash types.Hash
 	// Streamed reports whether the endorsements are over a BlockSealMsg
-	// digest (segment streaming) or a monolithic NEWBLOCK digest.
+	// digest. Executors always write true: every block travels as
+	// segments plus a seal. False marks a record written before that,
+	// endorsed as a monolithic NEWBLOCK; local recovery still replays it,
+	// but state sync rejects it, since no orderer signs that digest now.
 	Streamed bool
 	// EvidenceDigest is the content digest the quorum endorsed.
 	EvidenceDigest types.Hash
-	// SealSegments and SealCum are the streamed block's seal parameters
-	// (segment count and cumulative segment digest), zero for monolithic
-	// blocks. A state-sync requester needs them to reconstruct the
+	// SealSegments and SealCum are the block's seal parameters (segment
+	// count and cumulative segment digest). A state-sync requester needs them to reconstruct the
 	// BlockSealMsg digest the endorsements are over — the block alone
 	// does not determine how it was segmented.
 	SealSegments int

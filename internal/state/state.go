@@ -1,14 +1,14 @@
 // Package state implements the blockchain state (datastore) maintained by
-// executor peers: a versioned key-value store, an overlay view used during
-// block execution, and a multi-version store for the MVCC variant of the
-// dependency-graph generator discussed in Section III-A of the paper.
+// executor peers: a versioned key-value store, a tiered store for state
+// larger than memory, and a multi-version overlay view used during block
+// execution.
 //
 // # Ownership contract (zero-copy)
 //
 // The stores in this package are zero-copy: they neither copy values in on
 // write nor copy them out on read. Ownership of a value slice transfers to
-// the store on Put/Apply/Write/Record, and every read (Get, GetVersion,
-// ReadAsOf, Snapshot) returns the stored slice itself. Consequently:
+// the store on Put/Apply/Record, and every read (Get, GetVersion,
+// Snapshot) returns the stored slice itself. Consequently:
 //
 //   - callers must not mutate a slice after handing it to a store, and
 //   - callers must treat every returned slice as read-only.
@@ -46,7 +46,7 @@ type VersionedReader interface {
 	GetVersion(key types.Key) ([]byte, uint64, bool)
 }
 
-// shardBits fixes the lock-stripe fan-out of KVStore and MVCCStore.
+// shardBits fixes the lock-stripe fan-out of KVStore.
 // 32 shards keeps the per-store footprint small while exceeding the worker
 // pool sizes used by the executors, so under a uniform key distribution
 // two workers rarely contend on the same stripe.

@@ -9,15 +9,16 @@ import (
 
 // Mark is one timestamped point in a block's lifecycle. Marks are set in
 // roughly this order, but the pipeline legitimately permutes some (a
-// monolithic NEWBLOCK carries its seal, so MarkSealed lands at delivery;
-// a fully-streamed block may drain execution before the seal arrives).
+// block whose seal quorum forms before it enters the window is sealed
+// before admission; a fully-streamed block may drain execution before
+// the seal arrives).
 // Stage deltas clamp at zero, so permutations show up as a zero-cost
 // stage rather than garbage.
 type Mark int
 
 // Lifecycle marks, in nominal pipeline order.
 const (
-	MarkDelivered    Mark = iota // consensus delivery (first NEWBLOCK or segment)
+	MarkDelivered    Mark = iota // consensus delivery (first segment or seal)
 	MarkAdmitted                 // admitted into the pipeline window
 	MarkDispatched               // first transaction handed to a worker
 	MarkDrained                  // last local transaction executed

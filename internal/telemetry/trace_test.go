@@ -36,7 +36,7 @@ func TestTraceStageDeltas(t *testing.T) {
 	}
 }
 
-// A monolithic block carries its seal at delivery, so MarkSealed lands
+// A block whose seal quorum forms before it enters the window is sealed
 // before admission; unset marks (no dispatch on an empty block) inherit
 // the previous time. Neither may produce negative stage costs.
 func TestTraceOutOfOrderAndUnsetMarks(t *testing.T) {

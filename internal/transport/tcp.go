@@ -23,7 +23,7 @@ import (
 // delivery on a single connection per direction.
 //
 // Frames are length-prefixed and tagged. The hot protocol payloads —
-// REQUEST, NEWBLOCK, COMMIT, and the streaming SEGMENT/SEAL messages —
+// REQUEST, COMMIT, and the block-delivering SEGMENT/SEAL messages —
 // travel as the fuzz-hardened binary encodings of internal/types, and
 // every consensus payload (Raft, kafkaorder, and PBFT messages,
 // including the heartbeats that dominate idle-cluster traffic and the
@@ -39,8 +39,8 @@ import (
 //
 // Peer identity is established by a handshake frame and then pinned to
 // the connection. Production deployments would authenticate links with
-// TLS; in this reproduction message-level signatures (REQUEST, NEWBLOCK,
-// SEGMENT, SEAL, COMMIT) provide end-to-end authenticity and the
+// TLS; in this reproduction message-level signatures (REQUEST, SEGMENT,
+// SEAL, COMMIT) provide end-to-end authenticity and the
 // handshake provides addressing.
 type TCPConfig struct {
 	// ID is this node's identity.
@@ -69,13 +69,14 @@ func RegisterWireTypes(payloads ...any) {
 // Frame tags. A frame on the wire is [u32 length][1-byte tag][body],
 // where length counts the tag byte plus the body.
 const (
-	frameGob      byte = 0 // body: gob(gobFrame)
-	frameHello    byte = 1 // body: sender NodeID (handshake, first frame)
-	frameRequest  byte = 2 // body: types.RequestMsg binary encoding
-	frameNewBlock byte = 3 // body: types.NewBlockMsg binary encoding
-	frameCommit   byte = 4 // body: types.CommitMsg binary encoding
-	frameSegment  byte = 5 // body: types.BlockSegmentMsg binary encoding
-	frameSeal     byte = 6 // body: types.BlockSealMsg binary encoding
+	frameGob     byte = 0 // body: gob(gobFrame)
+	frameHello   byte = 1 // body: sender NodeID (handshake, first frame)
+	frameRequest byte = 2 // body: types.RequestMsg binary encoding
+	// Tag 3 stays unassigned: it carried NEWBLOCK, and a frame from a
+	// peer that still sends it must fail to decode, not be misread.
+	frameCommit  byte = 4 // body: types.CommitMsg binary encoding
+	frameSegment byte = 5 // body: types.BlockSegmentMsg binary encoding
+	frameSeal    byte = 6 // body: types.BlockSealMsg binary encoding
 
 	// Consensus-internal payloads of the crash-fault-tolerant protocols
 	// (Raft heartbeats dominate idle-cluster traffic; kafka appends carry
@@ -124,8 +125,6 @@ func encodeFrame(payload any) (byte, []byte, error) {
 	switch p := payload.(type) {
 	case *types.RequestMsg:
 		return frameRequest, p.Marshal(), nil
-	case *types.NewBlockMsg:
-		return frameNewBlock, p.Marshal(), nil
 	case *types.CommitMsg:
 		return frameCommit, p.Marshal(), nil
 	case *types.BlockSegmentMsg:
@@ -178,13 +177,11 @@ func encodeFrame(payload any) (byte, []byte, error) {
 }
 
 // decodeFrame reverses encodeFrame. Binary decoders validate structure
-// (graph shape, edge ranges) before the payload reaches a node.
+// (edge ranges, counts) before the payload reaches a node.
 func decodeFrame(tag byte, body []byte) (any, error) {
 	switch tag {
 	case frameRequest:
 		return types.UnmarshalRequestMsg(body)
-	case frameNewBlock:
-		return types.UnmarshalNewBlockMsg(body)
 	case frameCommit:
 		return types.UnmarshalCommitMsg(body)
 	case frameSegment:

@@ -11,7 +11,6 @@ import (
 
 	"parblockchain/internal/consensus/kafkaorder"
 	"parblockchain/internal/consensus/raft"
-	"parblockchain/internal/depgraph"
 	"parblockchain/internal/types"
 )
 
@@ -189,25 +188,6 @@ func TestTCPBinaryFrameRoundTrips(t *testing.T) {
 		}
 	})
 
-	t.Run("NEWBLOCK", func(t *testing.T) {
-		block := types.NewBlock(3, types.Hash{9}, []*types.Transaction{tx, roundTripTx()})
-		msg := &types.NewBlockMsg{
-			Block: block,
-			Graph: &depgraph.Graph{N: 2, Succ: [][]int32{{1}, nil}, Pred: [][]int32{nil, {0}}},
-			Apps:  block.Apps(), Orderer: "a", Sig: []byte{4},
-		}
-		if err := a.Send("b", msg); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := recvPayload(t, b).(*types.NewBlockMsg)
-		if !ok || got.Digest() != msg.Digest() || !got.Block.VerifyTxRoot() {
-			t.Fatalf("NEWBLOCK mangled: %#v", got)
-		}
-		if got.Graph == nil || !got.Graph.HasEdge(0, 1) {
-			t.Fatal("graph lost on the wire")
-		}
-	})
-
 	t.Run("COMMIT", func(t *testing.T) {
 		msg := &types.CommitMsg{
 			BlockNum: 7,
@@ -333,9 +313,9 @@ func TestTCPMalformedFrameDropsLink(t *testing.T) {
 	if err := writeFrame(bw, frameHello, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	// A NEWBLOCK frame whose body is garbage: the decoder must error and
+	// A SEGMENT frame whose body is garbage: the decoder must error and
 	// the endpoint must drop the connection.
-	if err := writeFrame(bw, frameNewBlock, []byte{0xff, 0xff, 0xff}); err != nil {
+	if err := writeFrame(bw, frameSegment, []byte{0xff, 0xff, 0xff}); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -3,8 +3,6 @@ package types
 import (
 	"bytes"
 	"testing"
-
-	"parblockchain/internal/depgraph"
 )
 
 // The codec fuzz contract: arbitrary input must either decode or return
@@ -46,46 +44,6 @@ func FuzzUnmarshalTransaction(f *testing.F) {
 		}
 		if !bytes.Equal(enc, tx2.Marshal()) {
 			t.Fatal("transaction encoding is not a fixed point")
-		}
-	})
-}
-
-func FuzzUnmarshalNewBlockMsg(f *testing.F) {
-	tx := fuzzTx()
-	block := NewBlock(3, Hash{1}, []*Transaction{tx, fuzzTx()})
-	msg := &NewBlockMsg{
-		Block: block,
-		Graph: &depgraph.Graph{
-			N:    2,
-			Succ: [][]int32{{1}, nil},
-			Pred: [][]int32{nil, {0}},
-		},
-		Apps:    []AppID{"app1"},
-		Orderer: "o1",
-		Sig:     []byte{9},
-	}
-	f.Add(msg.Marshal())
-	msg.Graph = nil
-	f.Add(msg.Marshal())
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalNewBlockMsg(data)
-		if err != nil {
-			return
-		}
-		enc := m.Marshal()
-		m2, err := UnmarshalNewBlockMsg(enc)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v", err)
-		}
-		if !bytes.Equal(enc, m2.Marshal()) {
-			t.Fatal("NEWBLOCK encoding is not a fixed point")
-		}
-		if m.Graph != nil {
-			if err := m.Graph.Validate(); err != nil {
-				t.Fatalf("decoder admitted an invalid graph: %v", err)
-			}
 		}
 	})
 }
@@ -280,18 +238,18 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 
 	tx := fuzzTx()
 	block := NewBlock(1, Hash{7}, []*Transaction{tx})
-	msg := &NewBlockMsg{Block: block, Apps: block.Apps(), Orderer: "o1", Sig: []byte{2}}
-	back, err := UnmarshalNewBlockMsg(msg.Marshal())
-	if err != nil {
+	bw := AcquireWriter()
+	defer ReleaseWriter(bw)
+	block.MarshalTo(bw)
+	r := NewByteReader(bw.CloneBytes())
+	back := DecodeBlock(r)
+	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if back.Block.Hash() != block.Hash() {
+	if back.Hash() != block.Hash() {
 		t.Fatal("block hash changed across the wire")
 	}
-	if !back.Block.VerifyTxRoot() {
+	if !back.VerifyTxRoot() {
 		t.Fatal("tx root no longer verifies after round trip")
-	}
-	if back.Digest() != msg.Digest() {
-		t.Fatal("NEWBLOCK digest changed across the wire")
 	}
 }

@@ -23,8 +23,10 @@ type RequestMsg struct {
 }
 
 // NewBlockMsg is the orderers' announcement of a freshly cut block
-// together with its dependency graph. Executors act on a block after
-// receiving a quorum of matching NewBlockMsg from distinct orderers.
+// together with its dependency graph, the paper's NEWBLOCK. Only the
+// in-process OX baseline still delivers blocks this way (its orderers
+// build no graph); OXII executors take every block as segments plus a
+// seal, and no TCP frame carries NEWBLOCK.
 type NewBlockMsg struct {
 	// Block is the ordered batch B with header number n and previous
 	// hash h.
@@ -94,9 +96,9 @@ func (m *CommitMsg) Digest() Hash {
 // together with the dependency-graph edges that attach them to the
 // transactions already streamed for the same block. Orderers emit
 // segments as consensus delivers transactions (ordering.Config
-// .SegmentTxns per segment), so executors schedule and execute ready
-// transactions while the rest of the block is still being ordered —
-// instead of idling until a monolithic NEWBLOCK arrives at the cut.
+// .SegmentTxns per segment, or the whole block as one segment at the
+// cut), so executors can schedule and execute ready transactions while
+// the rest of the block is still being ordered.
 //
 // Segments are speculative: executors may execute against them inside
 // the pipeline window, but finalization (ledger append, store apply)
@@ -115,7 +117,7 @@ type BlockSegmentMsg struct {
 	// Preds[i] lists the dependency-graph predecessors of Txns[i] as
 	// block indices (< Start+i), sorted increasing — the incremental
 	// edges an Appender derives. Concatenating Preds across a block's
-	// segments yields exactly Graph.Pred of the monolithic build.
+	// segments yields exactly Graph.Pred of the block's dependency graph.
 	Preds [][]int32
 	// Orderer is the sending orderer.
 	Orderer NodeID
@@ -160,9 +162,8 @@ func ChainSegmentDigest(cum Hash, seg Hash) Hash {
 // BlockSealMsg closes a streamed block: it carries the block header (the
 // executors already hold the transactions from the segments), the number
 // of segments, and the cumulative segment digest binding the seal to the
-// exact streamed content. Executors finalize a streamed block only after
-// OrderQuorum matching seals from distinct orderers, restoring exactly
-// the trust the monolithic NEWBLOCK quorum provides.
+// exact streamed content. Executors finalize a block only after
+// OrderQuorum matching seals from distinct orderers.
 type BlockSealMsg struct {
 	// Header is the sealed block's header (number, previous hash,
 	// transaction root, count).

@@ -2,12 +2,10 @@ package types
 
 import (
 	"fmt"
-
-	"parblockchain/internal/depgraph"
 )
 
 // This file extends the binary codec to the executor-facing protocol
-// messages (NEWBLOCK, COMMIT) and their constituents, so deployments can
+// messages (COMMIT, block segments and seals) and their constituents, so deployments can
 // frame them without gob's per-stream type headers and so the decoders
 // can be fuzzed: malformed input must return ErrCodec-wrapped errors,
 // never panic, and never allocate proportionally to an attacker-chosen
@@ -56,8 +54,8 @@ func (w *ByteWriter) WriteHash(h Hash) { w.hash(h) }
 func (r *ByteReader) ReadHash() Hash { return r.hash() }
 
 // DecodeBlock consumes one block encoding (written by Block.MarshalTo)
-// from the reader, so enclosing decoders — NEWBLOCK above, the WAL
-// record codec in internal/persist — can embed blocks. Malformed input
+// from the reader, so enclosing decoders — the WAL record codec in
+// internal/persist, the state-sync response — can embed blocks. Malformed input
 // sets the reader's error; allocation is bounded by the input size.
 func DecodeBlock(r *ByteReader) *Block { return decodeBlock(r) }
 
@@ -165,104 +163,6 @@ func decodeBlock(r *ByteReader) *Block {
 		}
 	}
 	return b
-}
-
-// marshalGraph encodes a dependency graph as its successor adjacency
-// (the predecessor lists are the mirror and are rebuilt on decode).
-func marshalGraph(w *ByteWriter, g *depgraph.Graph) {
-	if g == nil {
-		w.Byte(0)
-		return
-	}
-	w.Byte(1)
-	w.U64(uint64(g.N))
-	for _, succ := range g.Succ {
-		w.U64(uint64(len(succ)))
-		for _, j := range succ {
-			w.U64(uint64(j))
-		}
-	}
-}
-
-func decodeGraph(r *ByteReader) *depgraph.Graph {
-	if r.Byte() == 0 {
-		return nil
-	}
-	n := r.U64()
-	// Every node costs at least one count word, so n can't exceed the
-	// remaining input; this bounds the adjacency allocation.
-	if r.err != nil || n > uint64(r.Remaining())/8 {
-		r.fail()
-		return nil
-	}
-	g := &depgraph.Graph{
-		N:    int(n),
-		Succ: make([][]int32, n),
-		Pred: make([][]int32, n),
-	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		cnt := r.U64()
-		if r.err != nil || cnt > uint64(r.Remaining())/8 {
-			r.fail()
-			return nil
-		}
-		if cnt == 0 {
-			continue
-		}
-		succ := make([]int32, 0, cnt)
-		for k := uint64(0); k < cnt && r.err == nil; k++ {
-			j := r.U64()
-			if j >= n {
-				r.fail()
-				return nil
-			}
-			succ = append(succ, int32(j))
-			g.Pred[j] = append(g.Pred[j], int32(i))
-		}
-		g.Succ[i] = succ
-	}
-	if r.err != nil {
-		return nil
-	}
-	if err := g.Validate(); err != nil {
-		r.err = fmt.Errorf("%w: %v", ErrCodec, err)
-		return nil
-	}
-	return g
-}
-
-// Marshal encodes the NEWBLOCK message, including its signature.
-func (m *NewBlockMsg) Marshal() []byte {
-	w := AcquireWriter()
-	defer ReleaseWriter(w)
-	m.Block.MarshalTo(w)
-	marshalGraph(w, m.Graph)
-	apps := make([]string, len(m.Apps))
-	for i, a := range m.Apps {
-		apps[i] = string(a)
-	}
-	w.Strs(apps)
-	w.Str(string(m.Orderer))
-	w.Blob(m.Sig)
-	return w.CloneBytes()
-}
-
-// UnmarshalNewBlockMsg decodes a NEWBLOCK message encoded by Marshal.
-// The embedded graph is structurally validated (edge direction, ranges,
-// Succ/Pred mirroring); malformed input returns an error, never panics.
-func UnmarshalNewBlockMsg(b []byte) (*NewBlockMsg, error) {
-	r := NewByteReader(b)
-	m := &NewBlockMsg{Block: decodeBlock(r)}
-	m.Graph = decodeGraph(r)
-	for _, a := range r.Strs() {
-		m.Apps = append(m.Apps, AppID(a))
-	}
-	m.Orderer = NodeID(r.Str())
-	m.Sig = r.Blob()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("decoding NEWBLOCK: %w", err)
-	}
-	return m, nil
 }
 
 // Marshal encodes the REQUEST message (a thin envelope over one

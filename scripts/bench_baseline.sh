@@ -6,10 +6,11 @@
 # BenchmarkExecutorPipelined/depth={1,4}, the cross-block pipelining vs
 # per-block barrier comparison; the depth=4 row is expected to stay well
 # ahead of depth=1 (>=1.3x tx/s). It also includes
-# BenchmarkOrdererStreaming/{monolithic,segment=16}: the segment=16
+# BenchmarkOrdererStreaming/{whole-block,segment=16}: the segment=16
 # first-exec-ns metric (time from first ordered transaction to first
-# execution) is expected to stay well below the monolithic row's — graph
-# generation and block dissemination off the critical path.
+# execution) is expected to stay well below the whole-block row's (one
+# segment sent at the cut) — graph generation and block dissemination
+# off the critical path.
 # BenchmarkExecutorDurable/depth={1,4}/{mem,wal} records the durability
 # subsystem's cost on the finalize hot path: the wal rows' fsyncs/block
 # metric shows the group-commit amortization (1.0 at the per-block
@@ -32,12 +33,12 @@
 # stay within noise of the plain pipeline rows across runs, and the on
 # row reports the per-stage p50 latency breakdown (stage_*_p50_ns
 # metrics) that the runs trajectory below accumulates.
-# BenchmarkExecutorScheduler/{chained,skewed}/{fifo,critical-path,
-# load-balanced} is the dispatch-scheduler sweep: on the skewed
-# (hot-chain + independent-tail) workload the critical-path row's tx/s
-# is expected to stay >= 1.2x the fifo row's (height-first dispatch
-# keeps the serial chain off the queue-drain path); on the chained
-# workload all three rows should be close (nothing to reorder).
+# BenchmarkExecutorScheduler/{chained,skewed}/{fifo,critical-path} is
+# the dispatch-scheduler sweep: on the skewed (hot-chain +
+# independent-tail) workload the critical-path row's tx/s is expected
+# to stay >= 1.2x the fifo row's (height-first dispatch keeps the
+# serial chain off the queue-drain path); on the chained workload both
+# rows should be close (nothing to reorder).
 #
 # Each run refreshes the "benchmarks" snapshot AND appends a dated entry
 # to the "runs" trajectory in the output file, so the perf history

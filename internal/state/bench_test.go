@@ -196,9 +196,8 @@ func BenchmarkStoreApplyBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkOverlayGet measures the lock-free copy-on-write read path
-// under concurrent readers, with the overlay holding a block's worth of
-// writes.
+// BenchmarkOverlayGet measures the lock-free read path under concurrent
+// readers, with the overlay holding a block's worth of writes.
 func BenchmarkOverlayGet(b *testing.B) {
 	base := NewKVStore()
 	keys := benchKeyset()
@@ -217,18 +216,25 @@ func BenchmarkOverlayGet(b *testing.B) {
 	})
 }
 
-// BenchmarkOverlayRecord measures the copy-on-write write path: one
-// iteration records a 200-transaction block's writes into a fresh
-// overlay, the per-block cost the commit path pays for lock-free reads.
+// BenchmarkOverlayRecord measures the write path: one iteration records
+// a block's writes (one key per transaction) into a fresh overlay and
+// takes its Final batch — the per-block cost the commit path pays. The
+// sub-benchmarks are a factor of 10 apart in writes, so linear growth
+// shows as a ratio near 10 between them.
 func BenchmarkOverlayRecord(b *testing.B) {
-	base := NewKVStore()
-	keys := benchKeyset()
-	val := []byte("v")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := NewBlockOverlay(base)
-		for j := 0; j < 200; j++ {
-			o.Record(j, []types.KV{{Key: keys[j], Val: val}})
-		}
+	for _, n := range []int{200, 2000} {
+		b.Run(fmt.Sprintf("writes=%d", n), func(b *testing.B) {
+			base := NewKVStore()
+			keys := benchKeyset()
+			val := []byte("v")
+			b.ReportAllocs()
+			for b.Loop() {
+				o := NewBlockOverlay(base)
+				for j := 0; j < n; j++ {
+					o.Record(j, []types.KV{{Key: keys[j], Val: val}})
+				}
+				o.Final()
+			}
+		})
 	}
 }

@@ -1,7 +1,8 @@
 package state
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -27,14 +28,18 @@ import (
 // highest write per key, the block's net effect, which is what chained
 // later-block overlays and Final consume.
 //
-// The read path is copy-on-write: readers load an atomically published,
-// immutable view and perform a plain map lookup — no lock, no atomic
-// read-modify-write, no cache-line ping-pong between executor workers.
-// Record (the commit path, called once per transaction result) builds a
-// new view from the current one and publishes it; version slices are
-// never mutated in place once published. That trades O(overlay) work per
-// Record for zero synchronization on the hot read path, which contract
-// execution hits once per read of every transaction in the block.
+// Each written key owns a slot: an atomic pointer to its immutable version
+// list, found through a lock-free concurrent map. Readers do one map load
+// and one atomic pointer load — no lock, no atomic read-modify-write, no
+// cache-line ping-pong between executor workers. Writers (Record and
+// PurgeIdx, serialized by a mutex) build a fresh version list for each key
+// they touch and publish it into that key's slot; published lists are
+// never mutated. A block's writes therefore cost time linear in their
+// number, however many keys the block has already written. Writers also
+// keep an index from transaction index to recorded write sets, so PurgeIdx
+// visits only the keys that transaction wrote. Publication is per key: a
+// multi-key write set becomes visible one key at a time, exactly as a
+// multi-key read already observed writes that landed between its lookups.
 //
 // Pipelined execution chains overlays: an in-flight block's overlay uses
 // its predecessor block's overlay as base, so reads fall through to the
@@ -49,9 +54,18 @@ import (
 type BlockOverlay struct {
 	base atomic.Pointer[Reader]
 
-	mu   sync.Mutex // serializes writers
-	view atomic.Pointer[map[types.Key][]overlayWrite]
+	// slots maps each key ever written to its *versionSlot. Only writers
+	// add entries, and a slot is never removed: a purge that empties a
+	// key's list leaves an empty list behind.
+	slots sync.Map
+
+	mu    sync.Mutex           // serializes writers
+	byIdx map[int][][]types.KV // write sets recorded per transaction index
+	nkeys int                  // number of slots
 }
+
+// versionSlot holds one key's published version list.
+type versionSlot = atomic.Pointer[[]overlayWrite]
 
 // overlayWrite is one transaction's write of one key. Per-key lists are
 // ascending in idx and immutable once published.
@@ -64,18 +78,33 @@ type overlayWrite struct {
 // the committed store, or the preceding in-flight block's overlay when
 // execution is pipelined.
 func NewBlockOverlay(base Reader) *BlockOverlay {
-	o := &BlockOverlay{}
+	o := &BlockOverlay{byIdx: make(map[int][][]types.KV)}
 	o.base.Store(&base)
-	empty := make(map[types.Key][]overlayWrite)
-	o.view.Store(&empty)
 	return o
+}
+
+// slot returns the key's slot, or nil if the key was never written.
+func (o *BlockOverlay) slot(key types.Key) *versionSlot {
+	if s, ok := o.slots.Load(key); ok {
+		return s.(*versionSlot)
+	}
+	return nil
+}
+
+// versions returns the key's current version list (nil if never written).
+// Lock-free.
+func (o *BlockOverlay) versions(key types.Key) []overlayWrite {
+	if s := o.slot(key); s != nil {
+		return *s.Load()
+	}
+	return nil
 }
 
 // Get returns the key's value as the block's net effect so far: the
 // highest-index overlay write if present, otherwise the base's value.
 // Lock-free.
 func (o *BlockOverlay) Get(key types.Key) ([]byte, bool) {
-	if vs := (*o.view.Load())[key]; len(vs) > 0 {
+	if vs := o.versions(key); len(vs) > 0 {
 		w := vs[len(vs)-1]
 		if w.val == nil {
 			return nil, false // deletion
@@ -91,7 +120,7 @@ func (o *BlockOverlay) Get(key types.Key) ([]byte, bool) {
 // can promote the record — attributing the cold read to the prefetcher
 // instead of an execution worker.
 func (o *BlockOverlay) Warm(key types.Key) (int, bool, bool) {
-	if vs := (*o.view.Load())[key]; len(vs) > 0 {
+	if vs := o.versions(key); len(vs) > 0 {
 		w := vs[len(vs)-1]
 		if w.val == nil {
 			return 0, false, false // deletion
@@ -124,7 +153,7 @@ type boundedView struct {
 // Get returns the newest value written strictly below the view's index,
 // falling through to the base when no such write exists.
 func (v boundedView) Get(key types.Key) ([]byte, bool) {
-	if vs := (*v.o.view.Load())[key]; len(vs) > 0 {
+	if vs := v.o.versions(key); len(vs) > 0 {
 		// Scan from the top: version lists are ascending in idx and short
 		// (multiple same-key writers imply dependency edges, so long lists
 		// only occur on heavily contended keys).
@@ -154,22 +183,22 @@ func (o *BlockOverlay) Rebase(base Reader) {
 // value into its key's version list (replacing a previous write by the
 // same index — a re-execution supersedes its own earlier result). Record
 // is order-insensitive: results may arrive in any commit order and still
-// converge to the sequential outcome.
+// converge to the sequential outcome. It touches only the written keys'
+// slots.
 func (o *BlockOverlay) Record(idx int, writes []types.KV) {
 	if len(writes) == 0 {
 		return
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	cur := *o.view.Load()
-	// Skip the copy when every write already has an entry at this index —
-	// the common case of a commit re-recording the result local execution
-	// recorded earlier. A same-index entry always carries the same value:
-	// every re-execution path purges its index before recording again, so
-	// a surviving entry is this exact attempt's write.
+	// Skip the write set when every key already has an entry at this
+	// index — the common case of a commit re-recording the result local
+	// execution recorded earlier. A same-index entry always carries the
+	// same value: every re-execution path purges its index before
+	// recording again, so a surviving entry is this exact attempt's write.
 	dirty := false
 	for i := range writes {
-		if !hasIdx(cur[writes[i].Key], idx) {
+		if !hasIdx(o.versions(writes[i].Key), idx) {
 			dirty = true
 			break
 		}
@@ -177,14 +206,21 @@ func (o *BlockOverlay) Record(idx int, writes []types.KV) {
 	if !dirty {
 		return
 	}
-	next := make(map[types.Key][]overlayWrite, len(cur)+len(writes))
-	for k, vs := range cur {
-		next[k] = vs
-	}
+	o.byIdx[idx] = append(o.byIdx[idx], writes)
 	for _, kv := range writes {
-		next[kv.Key] = insertWrite(next[kv.Key], overlayWrite{val: kv.Val, idx: idx})
+		w := overlayWrite{val: kv.Val, idx: idx}
+		s := o.slot(kv.Key)
+		if s == nil {
+			vs := []overlayWrite{w}
+			s = new(versionSlot)
+			s.Store(&vs)
+			o.slots.Store(kv.Key, s)
+			o.nkeys++
+			continue
+		}
+		vs := insertWrite(*s.Load(), w)
+		s.Store(&vs)
 	}
-	o.view.Store(&next)
 }
 
 // hasIdx reports whether the version list holds an entry by idx.
@@ -224,58 +260,44 @@ func insertWrite(vs []overlayWrite, w overlayWrite) []overlayWrite {
 // when its speculated result is invalidated (a committed digest diverged
 // from the value dependents read, or the transaction is being
 // re-executed). Older versions of the affected keys simply become visible
-// again. Publication follows the same copy-on-write discipline as Record,
-// so concurrent lock-free readers stay safe.
+// again. Only the keys the index wrote are visited, and each gets a fresh
+// version list, so concurrent lock-free readers stay safe.
 func (o *BlockOverlay) PurgeIdx(idx int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	cur := *o.view.Load()
-	touched := false
-	for _, vs := range cur {
-		for _, v := range vs {
-			if v.idx == idx {
-				touched = true
+	for _, writes := range o.byIdx[idx] {
+		for _, kv := range writes {
+			s := o.slot(kv.Key)
+			vs := *s.Load()
+			i := slices.IndexFunc(vs, func(v overlayWrite) bool { return v.idx == idx })
+			if i < 0 {
+				continue // key listed twice; already removed
 			}
+			keep := slices.Delete(slices.Clone(vs), i, i+1)
+			s.Store(&keep)
 		}
 	}
-	if !touched {
-		return
-	}
-	next := make(map[types.Key][]overlayWrite, len(cur))
-	for k, vs := range cur {
-		keep := vs
-		for i, v := range vs {
-			if v.idx == idx {
-				keep = make([]overlayWrite, 0, len(vs)-1)
-				keep = append(keep, vs[:i]...)
-				keep = append(keep, vs[i+1:]...)
-				break
-			}
-		}
-		if len(keep) > 0 {
-			next[k] = keep
-		}
-	}
-	o.view.Store(&next)
+	delete(o.byIdx, idx)
 }
 
 // Final returns the overlay's net effect as a deterministic, key-sorted
 // batch, ready to apply to the committed store when the block finalizes.
 // The values are shared with the overlay; the commit path hands them
-// straight to KVStore.Apply, transferring ownership.
+// straight to KVStore.Apply, transferring ownership. Keys whose every
+// write was purged are omitted.
 func (o *BlockOverlay) Final() []types.KV {
-	view := *o.view.Load()
-	out := make([]types.KV, 0, len(view))
-	for k, vs := range view {
-		out = append(out, types.KV{Key: k, Val: vs[len(vs)-1].val})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	// Exclude writers so no write set is seen half-published.
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := make([]types.KV, 0, o.nkeys)
+	o.slots.Range(func(k, s any) bool {
+		if vs := *s.(*versionSlot).Load(); len(vs) > 0 {
+			out = append(out, types.KV{Key: k.(types.Key), Val: vs[len(vs)-1].val})
+		}
+		return true
+	})
+	slices.SortFunc(out, func(a, b types.KV) int { return strings.Compare(a.Key, b.Key) })
 	return out
-}
-
-// Len returns the number of distinct keys written in the overlay.
-func (o *BlockOverlay) Len() int {
-	return len(*o.view.Load())
 }
 
 var (

@@ -193,8 +193,8 @@ func TestOverlayHighestIndexWins(t *testing.T) {
 	if v, _ := o.Get("k"); string(v) != "seven" {
 		t.Fatal("higher index must replace")
 	}
-	if o.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", o.Len())
+	if n := len(o.Final()); n != 1 {
+		t.Fatalf("len(Final) = %d, want 1", n)
 	}
 }
 

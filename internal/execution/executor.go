@@ -487,6 +487,11 @@ type Executor struct {
 	streamBytes map[types.NodeID]int
 	commitBytes map[types.NodeID]int
 
+	// segDigests is handleSegment's scratch for the incoming segment's
+	// transaction digests, copied into the stream or block it feeds once
+	// the segment's signature checks out. Owned by the actor loop.
+	segDigests []types.Hash
+
 	// Watchdog and state-sync requester state, owned by the actor loop
 	// (statesync.go): when the pipeline makes no progress for
 	// Config.StallTimeout while peers have announced blocks beyond the
@@ -547,16 +552,17 @@ type Executor struct {
 
 // segStream accumulates one orderer's segment stream for one block.
 // Once the stream is feeding an admitted block's execution directly, the
-// txns/preds buffers stop growing (the content lives in the blockState);
+// txns/preds/digests buffers stop growing (the content lives in the blockState);
 // next keeps tracking the expected position so ordering is still checked.
 type segStream struct {
-	txns   []*types.Transaction
-	preds  [][]int32
-	segs   int        // segments received so far
-	next   int        // block index the next segment must start at
-	bytes  int        // approximate buffered payload size
-	cum    types.Hash // running cumulative digest
-	broken bool       // gap, malformed segment, or cap exceeded: unusable
+	txns    []*types.Transaction
+	preds   [][]int32
+	digests []types.Hash // per-transaction digests, parallel to txns
+	segs    int          // segments received so far
+	next    int          // block index the next segment must start at
+	bytes   int          // approximate buffered payload size
+	cum     types.Hash   // running cumulative digest
+	broken  bool         // gap, malformed segment, or cap exceeded: unusable
 }
 
 // blockState tracks one in-flight block through validation, execution,
@@ -602,12 +608,16 @@ type blockState struct {
 	sealed    *types.BlockSealMsg // quorum-validated seal awaiting content
 
 	// Execution state (Algorithm 1), indexed by block position. For
-	// streamed blocks these grow segment by segment.
+	// streamed blocks these grow segment by segment. A speculatively
+	// admitted block also keeps its transactions' digests (from the
+	// segment digests) for the seal's root check and a stream switch;
+	// a block admitted already sealed has no use for them.
 	started   bool
 	overlay   *state.BlockOverlay
 	txns      []*types.Transaction
-	pred      [][]int32 // per-block graph predecessors (sorted)
-	succ      [][]int32 // per-block graph successors (mirror of pred)
+	digests   []types.Hash // streamed txns' digests, until contentDone
+	pred      [][]int32    // per-block graph predecessors (sorted)
+	succ      [][]int32    // per-block graph successors (mirror of pred)
 	isLocal   []bool
 	remaining []int32 // unsatisfied predecessor count
 	satisfied []bool  // predecessor event fired (Ce ∪ Xe membership)
@@ -628,9 +638,8 @@ type blockState struct {
 	committed   []bool // Ce membership
 	final       []types.TxResult
 	commitCount int
-	complete    bool // every transaction committed; awaiting in-order finalize
-	votes       []map[types.Hash]*voteRec
-	voted       []map[types.NodeID]bool
+	complete    bool        // every transaction committed; awaiting in-order finalize
+	votes       [][]voteRec // distinct results reported per transaction (tau > 1)
 
 	// Cross-block edges: successors in later in-flight blocks waiting on
 	// this block's transactions, per transaction index.
@@ -701,7 +710,6 @@ func (bs *blockState) growTo(n int) {
 	bs.committed = slices.Grow(bs.committed, n-len(bs.committed))
 	bs.final = slices.Grow(bs.final, n-len(bs.final))
 	bs.votes = slices.Grow(bs.votes, n-len(bs.votes))
-	bs.voted = slices.Grow(bs.voted, n-len(bs.voted))
 	bs.crossSucc = slices.Grow(bs.crossSucc, n-len(bs.crossSucc))
 	bs.epoch = slices.Grow(bs.epoch, n-len(bs.epoch))
 	bs.specActive = slices.Grow(bs.specActive, n-len(bs.specActive))
@@ -719,8 +727,11 @@ type crossRef struct {
 	idx int
 }
 
+// voteRec is one distinct result reported for a transaction and the
+// agents that reported it.
 type voteRec struct {
-	count  int
+	digest types.Hash
+	voters []types.NodeID
 	result types.TxResult
 }
 
@@ -1023,7 +1034,10 @@ func (e *Executor) handleSegment(from types.NodeID, m *types.BlockSegmentMsg) {
 	}
 	// Digest (a hash over every transaction) only after the cheap
 	// structural checks weeded out everything this node will not use.
-	digest := m.Digest()
+	// The transaction digests come along: they are the block's Merkle
+	// leaves for the seal check.
+	var digest types.Hash
+	digest, e.segDigests = m.DigestTxns(e.segDigests[:0])
 	if e.cfg.VerifySigs {
 		if err := e.cfg.Verifier.Verify(string(from), digest[:], m.Sig); err != nil {
 			e.cfg.Logf("executor %s: bad SEGMENT signature from %s: %v", e.cfg.ID, from, err)
@@ -1047,10 +1061,12 @@ func (e *Executor) handleSegment(from types.NodeID, m *types.BlockSegmentMsg) {
 		// Feeding execution directly: the content lives in the
 		// blockState, so no second copy is buffered.
 		e.stats.segsAdmitted.Add(1)
+		bs.digests = append(bs.digests, e.segDigests...)
 		e.extendSegment(bs, m.Txns, m.Preds)
 	} else {
 		st.txns = append(st.txns, m.Txns...)
 		st.preds = append(st.preds, m.Preds...)
+		st.digests = append(st.digests, e.segDigests...)
 	}
 	if bs.sealed != nil {
 		e.maybeInstallSeal(bs)
@@ -1070,6 +1086,7 @@ func (e *Executor) breakStream(bs *blockState, from types.NodeID, st *segStream,
 	st.broken = true
 	st.txns = nil
 	st.preds = nil
+	st.digests = nil
 	e.creditStreamBytes(from, st)
 	if bs.specFrom != from || bs.started {
 		return
@@ -1256,12 +1273,12 @@ func (e *Executor) maybeInstallSeal(bs *blockState) {
 		return // wait: the pinned or another stream may still complete
 	}
 	if seal.Segments == 0 {
-		e.installSealedContent(bs, seal, nil, nil)
+		e.installSealedContent(bs, seal, nil, nil, nil)
 		return
 	}
 	for _, st := range bs.streams {
 		if !st.broken && st.segs == seal.Segments && st.cum == seal.Cum {
-			e.installSealedContent(bs, seal, st.txns, st.preds)
+			e.installSealedContent(bs, seal, st.txns, st.preds, st.digests)
 			return
 		}
 	}
@@ -1269,12 +1286,14 @@ func (e *Executor) maybeInstallSeal(bs *blockState) {
 }
 
 // sealedBlock pairs a seal's header with the content it claims to seal
-// and reports whether the header commits to exactly those transactions.
-// The edges need no check here: every segment's edges passed
-// validSegment on intake.
-func sealedBlock(seal *types.BlockSealMsg, txns []*types.Transaction) (*types.Block, bool) {
+// and reports whether the header commits to exactly those transactions,
+// checking the root from their digests (which it consumes: MerkleRoot
+// folds them in place). The edges need no check here: every segment's
+// edges passed validSegment on intake.
+func sealedBlock(seal *types.BlockSealMsg, txns []*types.Transaction,
+	digests []types.Hash) (*types.Block, bool) {
 	block := &types.Block{Header: seal.Header, Txns: txns}
-	return block, seal.Header.Count == len(txns) && block.VerifyTxRoot()
+	return block, seal.Header.Count == len(txns) && types.MerkleRoot(digests) == seal.Header.TxRoot
 }
 
 // adoptStream completes a speculatively admitted block from a complete,
@@ -1285,13 +1304,6 @@ func sealedBlock(seal *types.BlockSealMsg, txns []*types.Transaction) (*types.Bl
 // wrong execution order — then the remainder is admitted and the block
 // finishes exactly as a sealed pinned stream would.
 func (e *Executor) adoptStream(bs *blockState, seal *types.BlockSealMsg, st *segStream) {
-	block, ok := sealedBlock(seal, st.txns)
-	if !ok {
-		// A quorum sealed content that does not validate structurally:
-		// beyond the fault assumption, same as finishStreamed's check.
-		e.haltf("block %d sealed stream failed structural validation", bs.num)
-		return
-	}
 	n := len(bs.txns)
 	if n > len(st.txns) {
 		e.haltf("block %d stream ran past the sealed block (%d > %d txns)",
@@ -1299,7 +1311,7 @@ func (e *Executor) adoptStream(bs *blockState, seal *types.BlockSealMsg, st *seg
 		return
 	}
 	for i := 0; i < n; i++ {
-		if bs.txns[i].Digest() != st.txns[i].Digest() {
+		if bs.digests[i] != st.digests[i] {
 			e.haltf("block %d speculative prefix diverges from sealed content at %d", bs.num, i)
 			return
 		}
@@ -1307,6 +1319,15 @@ func (e *Executor) adoptStream(bs *blockState, seal *types.BlockSealMsg, st *seg
 			e.haltf("block %d speculative graph diverges from sealed graph at %d", bs.num, i)
 			return
 		}
+	}
+	// The prefix check is done with the digests; the root check consumes
+	// them.
+	block, ok := sealedBlock(seal, st.txns, st.digests)
+	if !ok {
+		// A quorum sealed content that does not validate structurally:
+		// beyond the fault assumption, same as finishStreamed's check.
+		e.haltf("block %d sealed stream failed structural validation", bs.num)
+		return
 	}
 	e.extendSegment(bs, st.txns[n:], st.preds[n:])
 	e.finishStarted(bs, block)
@@ -1316,8 +1337,8 @@ func (e *Executor) adoptStream(bs *blockState, seal *types.BlockSealMsg, st *seg
 // a stream matching its seal quorum; the normal admission path takes it
 // from there.
 func (e *Executor) installSealedContent(bs *blockState, seal *types.BlockSealMsg,
-	txns []*types.Transaction, preds [][]int32) {
-	block, ok := sealedBlock(seal, txns)
+	txns []*types.Transaction, preds [][]int32, digests []types.Hash) {
+	block, ok := sealedBlock(seal, txns, digests)
 	if !ok {
 		// An OrderQuorum of seals endorsed content whose header does not
 		// commit to it: beyond the fault assumption (and no retry is
@@ -1336,7 +1357,7 @@ func (e *Executor) installSealedContent(bs *blockState, seal *types.BlockSealMsg
 // streamed transactions and the local chain, and buffered remote COMMIT
 // votes finally count.
 func (e *Executor) finishStreamed(bs *blockState, seal *types.BlockSealMsg) {
-	block, ok := sealedBlock(seal, bs.txns)
+	block, ok := sealedBlock(seal, bs.txns, bs.digests)
 	if !ok {
 		e.haltf("block %d seal does not commit to the streamed transactions", bs.num)
 		return
@@ -1356,6 +1377,7 @@ func (e *Executor) finishStarted(bs *blockState, block *types.Block) {
 	bs.contentDone = true
 	bs.block = block
 	bs.preds = bs.pred
+	bs.digests = nil
 	e.releaseStreams(bs)
 	bs.sealed = nil
 	e.admitPrev = block.Hash()
@@ -1478,12 +1500,14 @@ func (e *Executor) admitStream(bs *blockState) {
 	st := bs.streams[bs.specFrom]
 	e.enterWindow(bs)
 	e.stats.segsAdmitted.Add(uint64(st.segs))
+	bs.digests = st.digests
 	e.extendSegment(bs, st.txns, st.preds)
 	// The content now lives in the blockState; drop the stream's copy
 	// (segs/next/cum keep tracking the stream for the seal match, and the
 	// bytes stay charged to the orderer until the seal validates).
 	st.txns = nil
 	st.preds = nil
+	st.digests = nil
 	if bs.sealed != nil {
 		e.maybeInstallSeal(bs)
 	}
@@ -1527,7 +1551,6 @@ func (e *Executor) extendSegment(bs *blockState, txns []*types.Transaction, pred
 		bs.committed = append(bs.committed, false)
 		bs.final = append(bs.final, types.TxResult{})
 		bs.votes = append(bs.votes, nil)
-		bs.voted = append(bs.voted, nil)
 		bs.crossSucc = append(bs.crossSucc, nil)
 		bs.epoch = append(bs.epoch, 0)
 		bs.specActive = append(bs.specActive, false)
@@ -1891,27 +1914,35 @@ func (e *Executor) isAgentOf(app types.AppID, node types.NodeID) bool {
 
 // addVote counts one agent's result for a transaction; at tau(A) matching
 // results the transaction commits (Algorithm 3's "Matching records in
-// Re(x) >= tau(A)").
+// Re(x) >= tau(A)"). Each agent counts once per transaction, with the
+// first result it reported.
 func (e *Executor) addVote(bs *blockState, idx int, r types.TxResult, voter types.NodeID) {
 	if bs.committed[idx] {
 		return
 	}
-	if bs.voted[idx] == nil {
-		bs.voted[idx] = make(map[types.NodeID]bool, 2)
-		bs.votes[idx] = make(map[types.Hash]*voteRec, 1)
-	}
-	if bs.voted[idx][voter] {
+	tau := e.tau(bs.txns[idx].App)
+	if tau == 1 {
+		// One vote decides: no tally to keep and no digest to match.
+		e.commitTx(bs, idx, r)
 		return
 	}
-	bs.voted[idx][voter] = true
 	d := r.Digest()
-	rec, ok := bs.votes[idx][d]
-	if !ok {
-		rec = &voteRec{result: r}
-		bs.votes[idx][d] = rec
+	var rec *voteRec
+	for i := range bs.votes[idx] {
+		v := &bs.votes[idx][i]
+		if slices.Contains(v.voters, voter) {
+			return
+		}
+		if v.digest == d {
+			rec = v
+		}
 	}
-	rec.count++
-	if rec.count >= e.tau(bs.txns[idx].App) {
+	if rec == nil {
+		bs.votes[idx] = append(bs.votes[idx], voteRec{digest: d, result: r})
+		rec = &bs.votes[idx][len(bs.votes[idx])-1]
+	}
+	rec.voters = append(rec.voters, voter)
+	if len(rec.voters) >= tau {
 		e.commitTx(bs, idx, rec.result)
 	} else if e.cfg.Speculate {
 		e.maybeAdoptVote(bs, idx, r, voter)
@@ -2169,7 +2200,6 @@ func (e *Executor) commitTx(bs *blockState, idx int, r types.TxResult) {
 	bs.committed[idx] = true
 	bs.final[idx] = r
 	bs.votes[idx] = nil
-	bs.voted[idx] = nil
 	if e.cfg.Speculate {
 		e.promoteOrCascade(bs, idx, &bs.final[idx])
 	} else if !r.Aborted {

@@ -445,3 +445,45 @@ func TestCommitMsgFlushedOnCrossAppSuccessor(t *testing.T) {
 		}
 	}
 }
+
+// TestVoteTallyCountsEachAgentOnce pins Algorithm 3's per-agent tally at
+// tau = 2: an agent repeating its result, or changing it afterwards,
+// never adds a second vote; only a distinct agent's matching result
+// completes the quorum, and the committed value is the matched one.
+func TestVoteTallyCountsEachAgentOnce(t *testing.T) {
+	h := newHarness(t, func(cfg *Config) {
+		cfg.AgentsOf = map[types.AppID][]types.NodeID{
+			"app1": {"e1"},
+			"app2": {"e2", "e3"},
+		}
+		cfg.Tau = map[types.AppID]int{"app2": 2}
+		cfg.Executors = []types.NodeID{"e1", "e2", "e3"}
+	})
+	e3, _ := h.net.Endpoint("e3")
+	remote := kvTx("app2", 1, "r", "v")
+	block := h.sendBlock([]*types.Transaction{remote})
+	agreed := types.TxResult{TxID: remote.ID, Index: 0,
+		Writes: []types.KV{{Key: "r", Val: []byte("v")}}}
+	other := types.TxResult{TxID: remote.ID, Index: 0,
+		Writes: []types.KV{{Key: "r", Val: []byte("w")}}}
+	h.sendCommit(block.Header.Number, []types.TxResult{agreed})
+	h.sendCommit(block.Header.Number, []types.TxResult{agreed})
+	h.sendCommit(block.Header.Number, []types.TxResult{other})
+	select {
+	case <-h.commits:
+		t.Fatal("one agent's repeated votes reached tau = 2")
+	case <-time.After(150 * time.Millisecond):
+	}
+	_ = e3.Send("e1", &types.CommitMsg{
+		BlockNum: block.Header.Number,
+		Results:  []types.TxResult{agreed},
+		Executor: "e3",
+	})
+	results, _ := h.awaitCommit(5 * time.Second)
+	if len(results) != 1 || results[0].Digest() != agreed.Digest() {
+		t.Fatalf("committed %+v, want the matched result %+v", results, agreed)
+	}
+	if v, _ := h.store.Get("r"); string(v) != "v" {
+		t.Fatalf("r = %q, want \"v\"", v)
+	}
+}

@@ -195,6 +195,9 @@ func (o *Orderer) replayLog() {
 		return
 	}
 	o.replaying = true
+	// Published before the replay re-multicasts anything, so an observer
+	// that has seen a replayed block also sees the count.
+	o.stats.recoveredEntries.Store(uint64(len(o.recovered)))
 	for _, rec := range o.recovered {
 		if rec.cut {
 			o.applyCutAnchor(&rec.anchor)
@@ -206,7 +209,6 @@ func (o *Orderer) replayLog() {
 		o.handleEntry(consensus.Entry{Seq: rec.seq, Payload: rec.payload})
 	}
 	o.replaying = false
-	o.stats.recoveredEntries.Store(uint64(len(o.recovered)))
 	if n := len(o.recovered); n > 0 {
 		o.cfg.Logf("orderer %s: replayed %d durable log records; resuming at block %d",
 			o.cfg.ID, n, o.nextNum)
@@ -233,6 +235,7 @@ func (o *Orderer) applyCutAnchor(c *cutRecord) {
 			o.appender = depgraph.NewAppender(o.cfg.GraphMode)
 		}
 		o.segStart, o.segSent, o.segCum = 0, 0, types.ZeroHash
+		o.segDigests = o.segDigests[:0]
 		o.nextNum = c.Num + 1
 		o.prevHash = c.Hash
 	}

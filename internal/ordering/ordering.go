@@ -230,11 +230,14 @@ type Orderer struct {
 
 	// Streaming state: the index of the first pending transaction not yet
 	// multicast in a segment, the number of segments emitted for the
-	// current block, and the cumulative segment digest the seal will
-	// carry.
-	segStart int
-	segSent  int
-	segCum   types.Hash
+	// current block, the cumulative segment digest the seal will carry,
+	// and the digests of the streamed transactions (computed for the
+	// segment signatures, reused as the Merkle leaves of the cut
+	// header).
+	segStart   int
+	segSent    int
+	segCum     types.Hash
+	segDigests []types.Hash
 
 	// Durable-log state (durable.go). recovered/anchors are filled by
 	// openLog in New; everything else is owned by the delivery goroutine.
@@ -571,7 +574,8 @@ func (o *Orderer) emitSegment() {
 		Preds:    o.pendingPreds[o.segStart:len(o.pending):len(o.pending)],
 		Orderer:  o.cfg.ID,
 	}
-	digest := msg.Digest()
+	var digest types.Hash
+	digest, o.segDigests = msg.DigestTxns(o.segDigests)
 	msg.Sig = o.cfg.Signer.Sign(digest[:])
 	if err := transport.Multicast(o.cfg.Endpoint, o.cfg.Executors, msg); err != nil {
 		o.cfg.Logf("orderer %s: multicast segment %d of block %d: %v",
@@ -614,6 +618,15 @@ func (o *Orderer) cutBlock() {
 			o.emitSegment() // the whole block, or the final partial segment
 		}
 	}
+	var block *types.Block
+	if o.cfg.BuildGraph {
+		// Every transaction went out in a segment above, so the segment
+		// digests are the block's Merkle leaves (folded in place: the
+		// slice is dead after this).
+		block = types.NewBlockWithRoot(o.nextNum, o.prevHash, txns, types.MerkleRoot(o.segDigests))
+	} else {
+		block = types.NewBlock(o.nextNum, o.prevHash, txns)
+	}
 	o.pending = nil
 	o.pendingBytes = 0
 	o.pendingPreds = nil
@@ -622,8 +635,8 @@ func (o *Orderer) cutBlock() {
 	o.segSent = 0
 	o.segStart = 0
 	o.segCum = types.ZeroHash
+	o.segDigests = o.segDigests[:0]
 
-	block := types.NewBlock(o.nextNum, o.prevHash, txns)
 	o.nextNum++
 	o.prevHash = block.Hash()
 

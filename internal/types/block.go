@@ -1,5 +1,10 @@
 package types
 
+import (
+	"crypto/sha256"
+	"encoding/binary"
+)
+
 // BlockHeader carries the chaining metadata of a block. Headers are hashed
 // to link blocks: each header embeds the hash of the previous block
 // (h = H(B') in the paper's NEWBLOCK message).
@@ -29,55 +34,80 @@ type Block struct {
 }
 
 // Hash returns the block's identity: a digest of its header.
-func (b *Block) Hash() Hash {
-	e := newEncoder()
-	e.u64(b.Header.Number)
-	e.bytes(b.Header.PrevHash[:])
-	e.bytes(b.Header.TxRoot[:])
-	e.u64(uint64(b.Header.Count))
-	return e.sum()
+func (b *Block) Hash() Hash { return b.Header.hash() }
+
+func (h *BlockHeader) hash() Hash {
+	w := AcquireWriter()
+	w.U64(h.Number)
+	w.Blob(h.PrevHash[:])
+	w.Blob(h.TxRoot[:])
+	w.U64(uint64(h.Count))
+	return w.sumAndRelease()
 }
 
 // NewBlock assembles a block over txns, linking it to the previous block
 // hash and committing the header to the transaction list via a Merkle
 // root.
 func NewBlock(number uint64, prev Hash, txns []*Transaction) *Block {
-	b := &Block{
+	return NewBlockWithRoot(number, prev, txns, TxMerkleRoot(txns))
+}
+
+// NewBlockWithRoot is NewBlock for a caller that already holds the
+// Merkle root over txns (built with MerkleRoot from digests it computed
+// anyway), sparing a second hash of every transaction.
+func NewBlockWithRoot(number uint64, prev Hash, txns []*Transaction, root Hash) *Block {
+	return &Block{
 		Header: BlockHeader{
 			Number:   number,
 			PrevHash: prev,
+			TxRoot:   root,
 			Count:    len(txns),
 		},
 		Txns: txns,
 	}
-	b.Header.TxRoot = TxMerkleRoot(txns)
-	return b
 }
 
-// TxMerkleRoot computes the Merkle root over the transactions' digests.
-// An empty transaction list yields the zero hash. Odd levels duplicate the
-// trailing node, the conventional Bitcoin-style padding.
+// TxMerkleRoot computes the Merkle root over the transactions' digests
+// (see MerkleRoot). An empty transaction list yields the zero hash.
 func TxMerkleRoot(txns []*Transaction) Hash {
 	if len(txns) == 0 {
 		return ZeroHash
 	}
-	level := make([]Hash, len(txns))
+	leaves := make([]Hash, len(txns))
 	for i, tx := range txns {
-		level[i] = tx.Digest()
+		leaves[i] = tx.Digest()
 	}
+	return MerkleRoot(leaves)
+}
+
+// MerkleRoot computes the Merkle root over leaf digests. Each interior
+// node hashes the length-prefixed pair u64(32)‖left‖u64(32)‖right, and
+// odd levels duplicate the trailing node, the conventional Bitcoin-style
+// padding. No leaves yield the zero hash. The fold runs in place: leaves
+// is overwritten, so pass a slice the caller no longer needs.
+func MerkleRoot(leaves []Hash) Hash {
+	if len(leaves) == 0 {
+		return ZeroHash
+	}
+	// The preimage buffer: 8+32 bytes per child, length prefixes fixed.
+	var pair [2 * (8 + sha256.Size)]byte
+	binary.BigEndian.PutUint64(pair[0:], sha256.Size)
+	binary.BigEndian.PutUint64(pair[8+sha256.Size:], sha256.Size)
+	left, right := pair[8:8+sha256.Size], pair[16+sha256.Size:]
+	level := leaves
 	for len(level) > 1 {
-		next := make([]Hash, 0, (len(level)+1)/2)
+		n := 0
 		for i := 0; i < len(level); i += 2 {
 			j := i + 1
 			if j == len(level) {
 				j = i // duplicate the odd trailing node
 			}
-			e := newEncoder()
-			e.bytes(level[i][:])
-			e.bytes(level[j][:])
-			next = append(next, e.sum())
+			copy(left, level[i][:])
+			copy(right, level[j][:])
+			level[n] = sha256.Sum256(pair[:])
+			n++
 		}
-		level = next
+		level = level[:n]
 	}
 	return level[0]
 }

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -29,9 +30,9 @@ func NewByteWriter(capacity int) *ByteWriter {
 
 // writerPool recycles codec buffers across the hot encoding paths
 // (transaction marshaling, message digests): the ordering pipeline
-// serializes every transaction at least once per submission, and without
-// pooling each encode pays the writer allocation plus its growth
-// reallocations.
+// serializes every transaction at least once per submission and hashes
+// it several times per node, and without pooling each encode pays the
+// writer allocation plus its growth reallocations.
 var writerPool = sync.Pool{
 	New: func() any { return &ByteWriter{buf: make([]byte, 0, 512)} },
 }
@@ -56,6 +57,15 @@ func ReleaseWriter(w *ByteWriter) {
 		return
 	}
 	writerPool.Put(w)
+}
+
+// sumAndRelease hashes the accumulated encoding and returns the writer
+// to the pool: the tail of every Digest and Hash method, which build
+// their preimages in a pooled writer so hashing allocates nothing.
+func (w *ByteWriter) sumAndRelease() Hash {
+	h := sha256.Sum256(w.buf)
+	ReleaseWriter(w)
+	return h
 }
 
 // Reset empties the writer, retaining its capacity.

@@ -102,3 +102,53 @@ func BenchmarkWriterFresh(b *testing.B) {
 		_ = w.Bytes()
 	}
 }
+
+// benchTxns returns n distinct transactions shaped like benchTx.
+func benchTxns(n int) []*Transaction {
+	txns := make([]*Transaction, n)
+	for i := range txns {
+		tx := benchTx()
+		tx.ClientTS = uint64(i)
+		txns[i] = tx
+	}
+	return txns
+}
+
+// BenchmarkTransactionDigest is the per-transaction hash every orderer
+// and executor pays for segment digests and Merkle roots.
+func BenchmarkTransactionDigest(b *testing.B) {
+	tx := benchTx()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = tx.Digest()
+	}
+}
+
+// BenchmarkTxMerkleRoot is a 1000-transaction block's header commitment:
+// every leaf digest plus the interior fold.
+func BenchmarkTxMerkleRoot(b *testing.B) {
+	txns := benchTxns(1000)
+	b.Run("txns=1000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = TxMerkleRoot(txns)
+		}
+	})
+}
+
+// BenchmarkBlockSegmentDigest is the signed digest of a whole
+// 1000-transaction block sent as one segment.
+func BenchmarkBlockSegmentDigest(b *testing.B) {
+	txns := benchTxns(1000)
+	preds := make([][]int32, len(txns))
+	for i := 1; i < len(preds); i++ {
+		preds[i] = []int32{int32(i - 1)}
+	}
+	msg := &BlockSegmentMsg{BlockNum: 7, Txns: txns, Preds: preds}
+	b.Run("txns=1000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = msg.Digest()
+		}
+	})
+}

@@ -46,20 +46,20 @@ type NewBlockMsg struct {
 // the (deterministically generated) graph, so hashing the block identity
 // plus the edge count suffices to detect tampering with either.
 func (m *NewBlockMsg) Digest() Hash {
-	e := newEncoder()
 	bh := m.Block.Hash()
-	e.bytes(bh[:])
+	w := AcquireWriter()
+	w.Blob(bh[:])
 	if m.Graph != nil {
-		e.u64(uint64(m.Graph.N))
-		e.u64(uint64(m.Graph.EdgeCount()))
+		w.U64(uint64(m.Graph.N))
+		w.U64(uint64(m.Graph.EdgeCount()))
 		for _, succ := range m.Graph.Succ {
-			e.u64(uint64(len(succ)))
+			w.U64(uint64(len(succ)))
 			for _, j := range succ {
-				e.u64(uint64(j))
+				w.U64(uint64(j))
 			}
 		}
 	}
-	return e.sum()
+	return w.sumAndRelease()
 }
 
 // CommitMsg carries the execution results S of one or more transactions
@@ -80,15 +80,15 @@ type CommitMsg struct {
 
 // Digest returns the signed digest of the commit message.
 func (m *CommitMsg) Digest() Hash {
-	e := newEncoder()
-	e.u64(m.BlockNum)
-	e.u64(uint64(len(m.Results)))
+	w := AcquireWriter()
+	w.U64(m.BlockNum)
+	w.U64(uint64(len(m.Results)))
 	for i := range m.Results {
 		d := m.Results[i].Digest()
-		e.bytes(d[:])
+		w.Blob(d[:])
 	}
-	e.str(string(m.Executor))
-	return e.sum()
+	w.Str(string(m.Executor))
+	return w.sumAndRelease()
 }
 
 // BlockSegmentMsg streams one segment of a block under construction from
@@ -129,23 +129,39 @@ type BlockSegmentMsg struct {
 // transaction digests, and the incremental edges. The orderer identity is
 // excluded so segments from different orderers match when their content
 // matches (the seal's cumulative digest chains these values).
-func (m *BlockSegmentMsg) Digest() Hash {
-	e := newEncoder()
-	e.u64(m.BlockNum)
-	e.u64(uint64(m.Seg))
-	e.u64(uint64(m.Start))
-	e.u64(uint64(len(m.Txns)))
+func (m *BlockSegmentMsg) Digest() Hash { return m.digest(nil) }
+
+// DigestTxns is Digest that also appends each transaction's digest to
+// txDigests and returns the extended slice, so a node that needs both
+// the signed segment digest and the block's Merkle leaves (MerkleRoot)
+// hashes every transaction once.
+func (m *BlockSegmentMsg) DigestTxns(txDigests []Hash) (Hash, []Hash) {
+	d := m.digest(&txDigests)
+	return d, txDigests
+}
+
+// digest builds the segment digest, appending each transaction's digest
+// to *txDigests when txDigests is non-nil.
+func (m *BlockSegmentMsg) digest(txDigests *[]Hash) Hash {
+	w := AcquireWriter()
+	w.U64(m.BlockNum)
+	w.U64(uint64(m.Seg))
+	w.U64(uint64(m.Start))
+	w.U64(uint64(len(m.Txns)))
 	for _, tx := range m.Txns {
 		d := tx.Digest()
-		e.bytes(d[:])
-	}
-	for _, preds := range m.Preds {
-		e.u64(uint64(len(preds)))
-		for _, p := range preds {
-			e.u64(uint64(p))
+		w.Blob(d[:])
+		if txDigests != nil {
+			*txDigests = append(*txDigests, d)
 		}
 	}
-	return e.sum()
+	for _, preds := range m.Preds {
+		w.U64(uint64(len(preds)))
+		for _, p := range preds {
+			w.U64(uint64(p))
+		}
+	}
+	return w.sumAndRelease()
 }
 
 // ChainSegmentDigest extends a block's cumulative segment digest with the
@@ -153,10 +169,10 @@ func (m *BlockSegmentMsg) Digest() Hash {
 // hash as cum before any segment. Both orderers (emitting) and executors
 // (verifying against the seal) maintain it.
 func ChainSegmentDigest(cum Hash, seg Hash) Hash {
-	e := newEncoder()
-	e.bytes(cum[:])
-	e.bytes(seg[:])
-	return e.sum()
+	w := AcquireWriter()
+	w.Blob(cum[:])
+	w.Blob(seg[:])
+	return w.sumAndRelease()
 }
 
 // BlockSealMsg closes a streamed block: it carries the block header (the
@@ -186,16 +202,16 @@ type BlockSealMsg struct {
 // to the streamed content. The orderer identity is excluded so seals from
 // orderers that agree on the block match.
 func (m *BlockSealMsg) Digest() Hash {
-	e := newEncoder()
-	bh := (&Block{Header: m.Header}).Hash()
-	e.bytes(bh[:])
-	e.u64(uint64(m.Segments))
-	e.bytes(m.Cum[:])
-	e.u64(uint64(len(m.Apps)))
+	bh := m.Header.hash()
+	w := AcquireWriter()
+	w.Blob(bh[:])
+	w.U64(uint64(m.Segments))
+	w.Blob(m.Cum[:])
+	w.U64(uint64(len(m.Apps)))
 	for _, a := range m.Apps {
-		e.str(string(a))
+		w.Str(string(a))
 	}
-	return e.sum()
+	return w.sumAndRelease()
 }
 
 // CommitNotifyMsg informs a client of its transaction's final outcome.

@@ -50,14 +50,14 @@ type StateSyncRequestMsg struct {
 
 // Digest returns the signed digest of the request.
 func (m *StateSyncRequestMsg) Digest() Hash {
-	e := newEncoder()
-	e.u64(uint64(m.Kind))
-	e.u64(m.From)
-	e.u64(m.Chunk)
-	e.u64(m.MaxBytes)
-	e.str(string(m.Requester))
-	e.u64(m.Nonce)
-	return e.sum()
+	w := AcquireWriter()
+	w.U64(uint64(m.Kind))
+	w.U64(m.From)
+	w.U64(m.Chunk)
+	w.U64(m.MaxBytes)
+	w.Str(string(m.Requester))
+	w.U64(m.Nonce)
+	return w.sumAndRelease()
 }
 
 // ApproxSize estimates the request's wire size.
@@ -105,21 +105,21 @@ type StateSyncResponseMsg struct {
 
 // Digest returns the signed digest of the response.
 func (m *StateSyncResponseMsg) Digest() Hash {
-	e := newEncoder()
-	e.u64(m.Nonce)
-	e.u64(uint64(m.Kind))
-	e.u64(m.From)
-	e.u64(uint64(len(m.Records)))
+	w := AcquireWriter()
+	w.U64(m.Nonce)
+	w.U64(uint64(m.Kind))
+	w.U64(m.From)
+	w.U64(uint64(len(m.Records)))
 	for _, rec := range m.Records {
-		e.bytes(rec)
+		w.Blob(rec)
 	}
-	e.u64(m.SnapHeight)
-	e.u64(m.ChunkIdx)
-	e.u64(m.Chunks)
-	e.bytes(m.Chunk)
-	e.u64(m.Height)
-	e.str(string(m.Responder))
-	return e.sum()
+	w.U64(m.SnapHeight)
+	w.U64(m.ChunkIdx)
+	w.U64(m.Chunks)
+	w.Blob(m.Chunk)
+	w.U64(m.Height)
+	w.Str(string(m.Responder))
+	return w.sumAndRelease()
 }
 
 // ApproxSize estimates the response's wire size.

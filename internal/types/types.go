@@ -9,7 +9,6 @@ package types
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"sort"
 )
@@ -90,16 +89,16 @@ type Transaction struct {
 // signed fields. Both the client signature and the transaction ID are
 // derived from this digest.
 func (t *Transaction) Digest() Hash {
-	e := newEncoder()
-	e.str(string(t.App))
-	e.str(string(t.Client))
-	e.u64(t.ClientTS)
-	e.str(t.Op.Method)
-	e.strs(t.Op.Params)
-	e.strs(t.Op.Reads)
-	e.strs(t.Op.Writes)
-	e.u64(uint64(t.SubmitUnixNano))
-	return e.sum()
+	w := AcquireWriter()
+	w.Str(string(t.App))
+	w.Str(string(t.Client))
+	w.U64(t.ClientTS)
+	w.Str(t.Op.Method)
+	w.Strs(t.Op.Params)
+	w.Strs(t.Op.Reads)
+	w.Strs(t.Op.Writes)
+	w.U64(uint64(t.SubmitUnixNano))
+	return w.sumAndRelease()
 }
 
 // Reads returns the transaction's declared read set.
@@ -178,52 +177,18 @@ type TxResult struct {
 // identity is deliberately excluded: two executors match when they produce
 // identical outcomes for the same transaction.
 func (r *TxResult) Digest() Hash {
-	e := newEncoder()
-	e.str(string(r.TxID))
-	e.u64(uint64(r.Index))
+	w := AcquireWriter()
+	w.Str(string(r.TxID))
+	w.U64(uint64(r.Index))
 	if r.Aborted {
-		e.u64(1)
+		w.U64(1)
 	} else {
-		e.u64(0)
+		w.U64(0)
 	}
-	e.u64(uint64(len(r.Writes)))
+	w.U64(uint64(len(r.Writes)))
 	for _, kv := range r.Writes {
-		e.str(kv.Key)
-		e.bytes(kv.Val)
+		w.Str(kv.Key)
+		w.Blob(kv.Val)
 	}
-	return e.sum()
+	return w.sumAndRelease()
 }
-
-// encoder builds deterministic, length-prefixed byte encodings for
-// hashing. It is intentionally minimal: encoding/gob is not deterministic
-// across streams and encoding/json is needlessly slow for digests.
-type encoder struct {
-	buf []byte
-}
-
-func newEncoder() *encoder { return &encoder{buf: make([]byte, 0, 256)} }
-
-func (e *encoder) u64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-}
-
-func (e *encoder) bytes(b []byte) {
-	e.u64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-func (e *encoder) str(s string) {
-	e.u64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) strs(ss []string) {
-	e.u64(uint64(len(ss)))
-	for _, s := range ss {
-		e.str(s)
-	}
-}
-
-func (e *encoder) sum() Hash { return sha256.Sum256(e.buf) }

@@ -21,6 +21,7 @@
 package workload
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -268,6 +269,6 @@ func Finalize(tx *types.Transaction, nowUnixNano int64, sign func(digest []byte)
 	tx.Op.Writes = types.NormalizeKeys(tx.Op.Writes)
 	tx.SubmitUnixNano = nowUnixNano
 	digest := tx.Digest()
-	tx.ID = types.TxID(digest.String()[:16] + "-" + string(tx.Client))
+	tx.ID = types.TxID(hex.EncodeToString(digest[:8]) + "-" + string(tx.Client))
 	tx.Sig = sign(digest[:])
 }
